@@ -41,7 +41,7 @@ from repro.check.mutants import (
     matrix_params,
     run_mutant_matrix,
 )
-from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+from repro.jsonout import add_json_arg, write_envelope
 
 
 def _parse_csv(text: str) -> List[str]:
@@ -127,7 +127,6 @@ def _mutants(args, parser, json_out) -> int:
             scale=args.scale if args.scale is not None else 1.0,
             threshold=args.threshold,
             mutants=mutants,
-            replay=args.replay,
         )
     except (KeyError, ValueError) as err:
         parser.error(str(err.args[0] if err.args else err))
@@ -223,22 +222,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated mutant subset for --mutants "
         f"(known: {', '.join(MUTANT_EXPECTATIONS)})",
     )
-    parser.add_argument(
-        "--replay",
-        action="store_true",
-        help="drive the matrix from captured traces (repro.trace) — one "
-        "functional capture per workload serves all mutants "
-        "(--mutants mode only)",
-    )
     add_json_arg(
         parser,
-        legacy="--stats-json",
         help="write per-run checker statistics (events, checks, "
         "violations, wall time) to PATH as a schema-versioned envelope "
         "('-' for stdout)",
     )
     args = parser.parse_args(argv)
-    json_out = resolved_json_out(args, prog="repro check")
+    json_out = args.json_out
 
     if args.mutants:
         if args.threshold is None:

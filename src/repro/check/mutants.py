@@ -12,6 +12,12 @@ protocol — and :func:`run_mutant_matrix` demands that:
   the taxonomy class the planted bug warrants* (a mutant "detected" as
   the wrong class is a mis-diagnosis, not a detection).
 
+The matrix never re-interprets a workload per mutant: each one's event
+stream is captured once (:mod:`repro.trace`) and replayed for the
+baseline, every persistence-path mutant, and every recovery probe's
+forward run — mutations are simulation-side, so one trace serves the
+whole matrix.
+
 Persistence-path mutants are detected by the online checker riding a
 normal run (a badly broken pipeline may deadlock its proxy buffers —
 ``drop_boundary_entry`` fills both buffers with nothing ever draining —
@@ -29,17 +35,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.crash import (
-    CrashInjector,
-    CrashPlan,
-    PowerFailure,
-    run_built_until_crash,
-)
+from repro.arch.crash import CrashInjector, CrashPlan, PowerFailure
 from repro.arch.params import SimParams
 from repro.arch.persistence import ProtocolMutations
 from repro.arch.proxy import ProxyOverflowError
 from repro.arch.recovery import RecoveryError, recover
-from repro.arch.system import build_system
 from repro.check.checker import PersistencyChecker
 from repro.check.violations import (
     CORRUPT_UNDO,
@@ -53,7 +53,6 @@ from repro.check.violations import (
     Violation,
 )
 from repro.compiler import CapriCompiler, OptConfig
-from repro.isa.machine import MachineError
 from repro.isa.trace import TeeObserver
 
 #: mutant name -> taxonomy classes that count as *correct* detection.
@@ -200,38 +199,28 @@ def checked_run(
     """One full checked run; returns (checker, tolerated-error).
 
     Never raises on a model violation — callers inspect the report.
-    Pipeline deadlock (possible under mutation) and machine errors are
-    tolerated and reported so :meth:`finalize` can still flag what the
-    committed prefix lost.
+    Pipeline deadlock (possible under mutation) is tolerated and
+    reported so :meth:`finalize` can still flag what the committed
+    prefix lost.
 
-    With a captured :class:`~repro.trace.record.ExecTrace` as ``trace``,
-    the run replays the columns instead of re-interpreting — one
-    functional capture serves all twelve mutants (mutations live in the
-    simulated pipelines, never in the event stream).
+    The run replays ``trace`` (captured here when not given) — one
+    functional capture serves every mutant, since mutations live in the
+    simulated pipelines, never in the event stream.
     """
-    error: Optional[str] = None
-    if trace is not None:
-        from repro.trace.replay import build_replay_system
+    from repro.trace.record import capture_trace
+    from repro.trace.replay import build_replay_system
 
-        system = build_replay_system(
-            trace, params=params, threshold=threshold, mutations=mutations
-        )
-        checker = PersistencyChecker.attach(system)
-        try:
-            trace.deliver(TeeObserver(checker, system), system=system)
-            system.finish()
-        except ProxyOverflowError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        checker.finalize(system)
-        return checker, error
-    machine, system = build_system(
-        module, spawns, params=params, threshold=threshold, mutations=mutations
+    if trace is None:
+        trace = capture_trace(module, spawns, max_steps=max_steps)
+    error: Optional[str] = None
+    system = build_replay_system(
+        trace, params=params, threshold=threshold, mutations=mutations
     )
     checker = PersistencyChecker.attach(system)
     try:
-        machine.run(TeeObserver(checker, system), max_steps=max_steps)
+        trace.deliver(TeeObserver(checker, system), system=system)
         system.finish()
-    except (ProxyOverflowError, MachineError) as exc:
+    except ProxyOverflowError as exc:
         error = f"{type(exc).__name__}: {exc}"
     checker.finalize(system)
     return checker, error
@@ -239,46 +228,33 @@ def checked_run(
 
 def _recovery_probe(
     module,
-    spawns,
+    trace,
     params: SimParams,
     threshold: int,
     at_event: int,
     mutations: Optional[ProtocolMutations],
-    trace=None,
 ) -> Optional[PersistencyChecker]:
     """Crash at ``at_event``, recover (optionally mutated), check.
 
-    Returns the checker (its report covers the online run up to the
+    Returns the checker (its report covers the replayed run up to the
     crash, the crash-state sweep for unmutated probes, and the
     recovered-state check), or ``None`` if the program finished before
-    the crash point or recovery itself refused the state.  ``trace``
-    replays the forward run from a capture (the forward protocol is
-    always faithful here — recovery mutants act only in :func:`recover`,
-    which still needs the module).
+    the crash point or recovery itself refused the state.  The forward
+    run replays ``trace`` with a faithful protocol — recovery mutants
+    act only in :func:`recover`, which still needs the module.
     """
-    if trace is not None:
-        from repro.trace.replay import build_replay_system
+    from repro.trace.replay import build_replay_system
 
-        system = build_replay_system(trace, params=params, threshold=threshold)
-        checker = PersistencyChecker.attach(system)
-        injector = CrashInjector(
-            system, CrashPlan(at_event), target=TeeObserver(checker, system)
-        )
-        state = None
-        try:
-            trace.deliver(injector, system=system)
-        except PowerFailure as pf:
-            state = pf.state
-    else:
-        machine, system = build_system(
-            module, spawns, params=params, threshold=threshold
-        )
-        checker = PersistencyChecker.attach(system)
-        state = run_built_until_crash(
-            machine, system, CrashPlan(at_event), extra_observer=checker
-        )
-    if state is None:
+    system = build_replay_system(trace, params=params, threshold=threshold)
+    checker = PersistencyChecker.attach(system)
+    injector = CrashInjector(
+        system, CrashPlan(at_event), target=TeeObserver(checker, system)
+    )
+    try:
+        trace.deliver(injector, system=system)
         return None
+    except PowerFailure as pf:
+        state = pf.state
     if mutations is None:
         # Faithful probes also sweep the raw crash snapshot against the
         # model — the mutated ones skip it (their snapshot comes from the
@@ -298,7 +274,6 @@ def run_mutant_matrix(
     threshold: int = 32,
     params: Optional[SimParams] = None,
     mutants: Optional[Sequence[str]] = None,
-    replay: bool = False,
 ) -> MutantMatrixResult:
     """Run every mutant against the matrix workloads.
 
@@ -306,11 +281,6 @@ def run_mutant_matrix(
     boundaries put boundary entries *behind* data in the back-end buffer
     often, which is the window ``reorder_phase2`` and
     ``merge_across_regions`` need to act.
-
-    ``replay=True`` captures each workload's event stream once
-    (:mod:`repro.trace`) and replays it for the baseline, all
-    persistence-path mutants, and every recovery probe's forward run —
-    mutations are simulation-side, so one trace serves the whole matrix.
     """
     start = time.perf_counter()
     params = params if params is not None else matrix_params()
@@ -319,19 +289,17 @@ def run_mutant_matrix(
         if name not in MUTANT_EXPECTATIONS:
             raise ValueError(f"unknown mutant {name!r}")
 
+    from repro.trace.record import capture_trace
+
     built: Dict[str, tuple] = {}
-    traces: Dict[str, object] = {}
     golden_events: Dict[str, int] = {}
     baseline_reports: Dict[str, CheckReport] = {}
     for wl in workloads:
         module, spawns = _build_workload(wl, scale, threshold)
-        built[wl] = (module, spawns)
-        if replay:
-            from repro.trace.record import capture_trace
-
-            traces[wl] = capture_trace(module, spawns, max_steps=_MAX_STEPS)
+        trace = capture_trace(module, spawns, max_steps=_MAX_STEPS)
+        built[wl] = (module, spawns, trace)
         checker, error = checked_run(
-            module, spawns, params, threshold, trace=traces.get(wl)
+            module, spawns, params, threshold, trace=trace
         )
         if error is not None:
             raise RuntimeError(f"unmutated run of {wl!r} failed: {error}")
@@ -342,12 +310,11 @@ def run_mutant_matrix(
         for frac in CRASH_FRACTIONS:
             probe = _recovery_probe(
                 module,
-                spawns,
+                trace,
                 params,
                 threshold,
                 int(report.events * frac),
                 mutations=None,
-                trace=traces.get(wl),
             )
             if probe is not None:
                 for v in probe.report.violations:
@@ -361,18 +328,17 @@ def run_mutant_matrix(
         outcome = MutantOutcome(mutant=name, expected=MUTANT_EXPECTATIONS[name])
         mutation = ProtocolMutations.single(name)
         for wl in workloads:
-            module, spawns = built[wl]
+            module, spawns, trace = built[wl]
             if name in RECOVERY_MUTANTS:
                 reports: List[CheckReport] = []
                 for frac in CRASH_FRACTIONS:
                     probe = _recovery_probe(
                         module,
-                        spawns,
+                        trace,
                         params,
                         threshold,
                         int(golden_events[wl] * frac),
                         mutations=mutation,
-                        trace=traces.get(wl),
                     )
                     if probe is not None:
                         reports.append(probe.report)
@@ -383,7 +349,7 @@ def run_mutant_matrix(
                     params,
                     threshold,
                     mutations=mutation,
-                    trace=traces.get(wl),
+                    trace=trace,
                 )
                 if error is not None:
                     outcome.error = error

@@ -17,7 +17,7 @@ memoisation of completed runs, structured progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.api import RunResult, RunSpec
@@ -73,8 +73,7 @@ class EvalHarness:
         #: drive instrumented runs from captured columnar traces
         #: (:mod:`repro.trace`): the functional event stream is recorded
         #: once per (workload, config) and the architecture layers are
-        #: replayed per parameter point.  Fault campaigns started through
-        #: :meth:`fault_campaign` inherit the same replay mode.
+        #: replayed per parameter point.  (Fault campaigns always replay.)
         self.trace = trace
         #: baseline fingerprint -> volatile exec cycles.
         self._baseline_cache: Dict[str, float] = {}
@@ -266,13 +265,18 @@ class EvalHarness:
         switches on the nested-failure mode: crash chains injected into
         recovery itself, judged against the idempotence oracle on top of
         the differential one (:mod:`repro.fault.multicrash`).
+
+        The caller's ``campaign_config`` is never modified: the effective
+        config is a copy with this harness's settings folded in.
         """
         from repro.fault.campaign import CampaignConfig, run_workload_campaign
 
         cc = campaign_config or CampaignConfig()
-        cc.params = cc.params or self.params
-        cc.quantum = self.quantum
-        cc.check = cc.check or self.check
-        cc.replay = cc.replay or self.trace
-        cc.depth = max(cc.depth, depth)
+        cc = replace(
+            cc,
+            params=cc.params or self.params,
+            quantum=self.quantum,
+            check=cc.check or self.check,
+            depth=max(cc.depth, depth),
+        )
         return run_workload_campaign(name, cc, scale=self.scale)

@@ -220,7 +220,7 @@ def measure_throughput(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+    from repro.jsonout import add_json_arg, write_envelope
 
     parser = argparse.ArgumentParser(prog="repro.eval.profile")
     parser.add_argument("names", nargs="*", default=None)
@@ -232,7 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "envelope to PATH ('-' for stdout, suppressing the table)",
     )
     args = parser.parse_args(argv)
-    json_out = resolved_json_out(args, prog="repro profile")
+    json_out = args.json_out
     names = args.names or workload_names()
 
     from repro.eval.report import format_table

@@ -3,14 +3,14 @@
 Examples::
 
     # Exhaustive clean-power-loss sweep (every observer event):
-    python -m repro.fault --workload genome --scale 0.1
+    python -m repro fault --workload genome --scale 0.1
 
     # Sampled adversarial sweep, lenient recovery:
-    python -m repro.fault --workload genome --scale 0.1 --sample 50 \\
+    python -m repro fault --workload genome --scale 0.1 --sample 50 \\
         --models all --lenient
 
     # Nested-failure sweep: crash, then crash again inside recovery:
-    python -m repro.fault --workload update-loop --multi-crash --depth 2 \\
+    python -m repro fault --workload update-loop --multi-crash --depth 2 \\
         --sample 20 --json out.json
 
 Exit status is non-zero iff the campaign found a failure (a silent
@@ -26,12 +26,12 @@ from typing import List, Optional
 
 from repro.fault.campaign import CampaignConfig, run_workload_campaign
 from repro.fault.models import available_models
-from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+from repro.jsonout import add_json_arg, write_envelope
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.fault",
+        prog="python -m repro fault",
         description="Crash-consistency fault-injection campaign",
     )
     parser.add_argument(
@@ -107,22 +107,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="chain budget per primary crash point (skipped chains are "
         "reported, never silent; default 96)",
     )
-    parser.add_argument(
-        "--replay",
-        action="store_true",
-        help="capture the workload's event stream once (repro.trace) and "
-        "replay it per crash point instead of re-interpreting — identical "
-        "verdicts, much faster exhaustive sweeps",
-    )
     add_json_arg(
         parser,
-        legacy="--stats-json",
         help="write the campaign's machine-readable summary (counts, "
         "quarantine detail, first failure) to PATH as a schema-versioned "
         "envelope ('-' for stdout)",
     )
     args = parser.parse_args(argv)
-    json_out = resolved_json_out(args, prog="repro fault")
+    json_out = args.json_out
 
     depth = args.depth
     if depth is None:
@@ -150,7 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         depth=depth,
         secondary_sample=args.secondary_sample or None,
         max_chains_per_point=args.max_chains,
-        replay=args.replay,
     )
     try:
         result = run_workload_campaign(

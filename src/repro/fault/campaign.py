@@ -4,8 +4,9 @@ One campaign = one workload × one fault combination × a set of crash
 points (every observer event, or a deterministic seeded sample for long
 traces).  Per point:
 
-1. run under the Capri system to the crash point and capture the
-   persistent domain (:func:`run_until_crash_with_machine`),
+1. replay the workload's captured trace under the Capri system to the
+   crash point and capture the persistent domain
+   (:class:`~repro.trace.replay.TraceCampaignSource`),
 2. apply the fault models to a clone of the snapshot,
 3. recover (strict or lenient) and resume to completion,
 4. judge the outcome against the differential oracle.
@@ -43,10 +44,9 @@ particular execution.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.crash import CrashPlan, run_until_crash_with_machine
 from repro.arch.params import SimParams
 from repro.arch.recovery import RecoveryError, recover, resume_and_finish
 from repro.fault.models import FaultModel, FaultNote, apply_faults, get_models
@@ -54,7 +54,6 @@ from repro.fault.oracle import (
     GoldenResult,
     MinimizedFailure,
     differential_check,
-    golden_run,
     minimize_failure,
 )
 from repro.ir.module import Module
@@ -101,11 +100,19 @@ class CampaignConfig:
     #: ProtocolMutations) threaded into every recovery the campaign
     #: runs — the multi-crash mode's sensitivity ("teeth") knob.
     mutations: Optional[object] = None
-    #: capture the workload's event stream once (:mod:`repro.trace`) and
-    #: replay it per crash point instead of re-interpreting the IR — the
-    #: fast path for exhaustive sweeps (identical verdicts; see
-    #: docs/INTERNALS.md).
-    replay: bool = False
+    #: Deprecated and inert: every campaign replays a captured trace
+    #: (:mod:`repro.trace`).  Only ``True`` is accepted; the field stays
+    #: while the committed benchmark still passes ``replay=True`` and
+    #: goes when the benchmark is next revised.
+    replay: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.replay:
+            raise ValueError(
+                "CampaignConfig(replay=False) is gone: campaigns always "
+                "replay a captured trace; the interpreted reference is "
+                "repro.trace.replay.InterpretedSource"
+            )
 
     @classmethod
     def from_spec(cls, spec, **overrides) -> "CampaignConfig":
@@ -124,7 +131,6 @@ class CampaignConfig:
             max_steps=spec.max_steps,
             params=spec.params,
             check=spec.check,
-            replay=getattr(spec, "trace", False),
         )
         base.update(overrides)
         return cls(**base)
@@ -205,7 +211,7 @@ class CampaignResult:
         }
 
     def to_stats(self) -> Dict[str, object]:
-        """JSON-ready artifact for ``--stats-json`` / SweepReport."""
+        """JSON-ready artifact for ``--json`` / SweepReport."""
         out: Dict[str, object] = {
             "workload": self.workload,
             "models": list(self.models),
@@ -304,71 +310,6 @@ def report_fields(report) -> Dict[str, object]:
     )
 
 
-def capture_at(
-    module: Module,
-    spawns: Sequence[Tuple[str, Sequence[int]]],
-    event_index: int,
-    config: CampaignConfig,
-    source=None,
-):
-    """Run under the Capri system to one crash point.
-
-    Returns ``(state, machine, checker)`` — ``state`` is ``None`` when
-    the program finished before the crash point; ``checker`` is the
-    attached :class:`~repro.check.checker.PersistencyChecker` when
-    ``config.check`` is on (already fed the pre-crash event stream and
-    crash-state comparison), else ``None``.
-
-    ``source`` swaps the run-to-crash-point engine: anything with a
-    ``capture_at(event_index)`` method honouring the same contract —
-    in practice a :class:`repro.trace.replay.TraceCampaignSource`
-    replaying a captured trace instead of re-interpreting the IR.
-    Everything downstream (fault injection, recovery, resume, judging)
-    is state-based and identical either way.
-    """
-    if source is not None:
-        return source.capture_at(event_index)
-    if not config.check:
-        state, machine = run_until_crash_with_machine(
-            module,
-            spawns,
-            CrashPlan(event_index),
-            params=config.params,
-            threshold=config.threshold,
-            quantum=config.quantum,
-            max_steps=config.max_steps,
-        )
-        return state, machine, None
-
-    from repro.arch.crash import run_built_until_crash
-    from repro.arch.system import build_system
-    from repro.check.checker import PersistencyChecker
-
-    machine, system = build_system(
-        module,
-        spawns,
-        params=config.params,
-        threshold=config.threshold,
-        quantum=config.quantum,
-    )
-    checker = PersistencyChecker.attach(system)
-    state = run_built_until_crash(
-        machine,
-        system,
-        CrashPlan(event_index),
-        max_steps=config.max_steps,
-        extra_observer=checker,
-    )
-    if state is None:
-        system.finish()
-        checker.finalize(system)
-    else:
-        # The capture precedes fault injection, so the crash-state
-        # check is valid for every model combination.
-        checker.check_crash_state(state)
-    return state, machine, checker
-
-
 def judge_recovered(
     module: Module,
     spawns: Sequence[Tuple[str, Sequence[int]]],
@@ -452,12 +393,18 @@ def run_sweep_point(
     event_index: int,
     models: Sequence[FaultModel],
     config: CampaignConfig,
-    source=None,
+    source,
 ) -> CrashOutcome:
-    """Crash at one event index, inject, recover, resume, judge."""
-    state, crashed_machine, checker = capture_at(
-        module, spawns, event_index, config, source=source
-    )
+    """Crash at one event index, inject, recover, resume, judge.
+
+    ``source`` reaches the crash point: a
+    :class:`~repro.trace.replay.TraceCampaignSource` (or the reference
+    :class:`~repro.trace.replay.InterpretedSource`), whose
+    ``capture_at`` returns ``(state, machine, checker)``.  Everything
+    downstream (fault injection, recovery, resume, judging) is
+    state-based.
+    """
+    state, crashed_machine, checker = source.capture_at(event_index)
     if checker is not None and not checker.report.ok:
         return CrashOutcome(
             event_index,
@@ -525,28 +472,28 @@ def run_campaign(
 ) -> CampaignResult:
     """Sweep crash points over an already-compiled module.
 
-    ``golden`` lets callers supply a precomputed (e.g. cache-served)
-    golden run; by default it is recomputed here.  With
-    ``config.replay`` on (and no explicit ``source``/``golden``), the
-    module's event stream is captured once into a
-    :class:`~repro.trace.record.ExecTrace` and every crash point is
-    served by replay — same verdicts, one interpreter pass total.
+    With no ``source``, the module's event stream is captured once into
+    a :class:`~repro.trace.record.ExecTrace`; every crash point replays
+    it and the golden result comes off the same trace — one interpreter
+    pass total.  A caller passing its own ``source`` (a cache-served
+    trace, or the reference
+    :class:`~repro.trace.replay.InterpretedSource`) passes the matching
+    ``golden`` with it.
     """
     config = config or CampaignConfig()
     models = get_models(config.models)
-    if config.replay and source is None and golden is None:
+    if source is None:
         from repro.trace.record import capture_trace
         from repro.trace.replay import TraceCampaignSource, golden_from_trace
 
         trace = capture_trace(
             module, spawns, quantum=config.quantum, max_steps=config.max_steps
         )
-        golden = golden_from_trace(trace)
         source = TraceCampaignSource(trace, config)
+        if golden is None:
+            golden = golden_from_trace(trace)
     if golden is None:
-        golden = golden_run(
-            module, spawns, quantum=config.quantum, max_steps=config.max_steps
-        )
+        raise ValueError("run_campaign: an explicit source needs its golden")
     points = select_crash_points(
         golden.total_events, config.sample, config.seed
     )
@@ -579,18 +526,7 @@ def run_campaign(
         first = result.failures[0]
 
         def still_fails(index: int, model_names: Tuple[str, ...]) -> bool:
-            probe = CampaignConfig(
-                threshold=config.threshold,
-                quantum=config.quantum,
-                seed=config.seed,
-                models=model_names,
-                strict=config.strict,
-                minimize=False,
-                max_steps=config.max_steps,
-                params=config.params,
-                check=config.check,
-                mutations=config.mutations,
-            )
+            probe = replace(config, models=model_names, minimize=False)
             outcome = run_sweep_point(
                 module,
                 spawns,
@@ -608,28 +544,6 @@ def run_campaign(
     return result
 
 
-def _golden_from_cache(payload) -> GoldenResult:
-    return GoldenResult(
-        data={int(addr): value for addr, value in payload["data"].items()},
-        io_log=[tuple(event) for event in payload["io_log"]],
-        total_events=payload["total_events"],
-    )
-
-
-def _golden_to_cache(golden: GoldenResult, deps: Optional[dict] = None) -> dict:
-    payload = {
-        "kind": "golden",
-        "data": {str(addr): value for addr, value in golden.data.items()},
-        "io_log": [list(event) for event in golden.io_log],
-        "total_events": golden.total_events,
-    }
-    if deps:
-        # Per-subsystem validity token: the cache refuses this entry once
-        # any recorded subsystem's hash changes (repro.sweep.cache).
-        payload["deps"] = deps
-    return payload
-
-
 def run_workload_campaign(
     workload,
     config: Optional[CampaignConfig] = None,
@@ -640,38 +554,34 @@ def run_workload_campaign(
 
     ``workload`` is a registry name or a :class:`repro.api.RunSpec` (in
     which case its workload/scale/threshold/quantum seed the campaign).
-    The per-workload *golden run* is memoised in the sweep result cache
-    under the spec's fingerprint (``golden`` namespace) — warm fault
-    campaigns skip straight to crash injection.  Pass ``cache=None`` to
-    disable.
-
-    With ``config.replay`` the captured :class:`ExecTrace` takes the
-    golden run's place in the cache (``traces`` namespace, keyed by
-    :func:`repro.trace.record.trace_fingerprint`) and every crash point
-    replays it — the trace subsumes the golden result.
+    The compiled workload's captured :class:`ExecTrace` is memoised in
+    the sweep result cache (``traces`` namespace, keyed by
+    :func:`repro.trace.record.trace_fingerprint`); it serves as the
+    golden run and every crash point replays it, so warm campaigns skip
+    straight to crash injection.  Pass ``cache=None`` to disable.
     """
-    from repro.api import RunSpec, resolve_cache
+    from repro.api import (
+        RunSpec,
+        load_trace,
+        resolve_cache,
+        store_trace,
+        trace_fingerprint,
+    )
     from repro.compiler import CapriCompiler, OptConfig
-    from repro.deps import UsageProbe, deps_token
+    from repro.deps import UsageProbe
+    from repro.trace.record import capture_trace
+    from repro.trace.replay import TraceCampaignSource, golden_from_trace
     from repro.workloads import get_workload
 
     if isinstance(workload, RunSpec):
-        spec = workload
-        config = config or CampaignConfig.from_spec(spec)
-        workload_name, scale = spec.workload, spec.scale
+        config = config or CampaignConfig.from_spec(workload)
+        workload_name, scale = workload.workload, workload.scale
     else:
         workload_name = workload
         config = config or CampaignConfig()
-        spec = RunSpec(
-            workload=workload_name,
-            scale=scale,
-            config=OptConfig.licm(config.threshold),
-            quantum=config.quantum,
-            max_steps=config.max_steps,
-        )
     # Record which subsystems the build+compile actually exercise; the
-    # cached golden result / trace stores this set (plus its own layer)
-    # so a later edit to an unrelated subsystem leaves it warm.
+    # cached trace stores this set (plus its own layer) so a later edit
+    # to an unrelated subsystem leaves it warm.
     with UsageProbe() as probe:
         module, spawns = get_workload(workload_name).build(scale)
         compiled = (
@@ -679,60 +589,39 @@ def run_workload_campaign(
         )
     base_deps = set(probe.subsystems())
 
-    golden: Optional[GoldenResult] = None
-    source = None
-    store = resolve_cache(cache)
-    if config.replay:
-        from repro.api import load_trace, store_trace, trace_fingerprint
-        from repro.trace.record import capture_trace
-        from repro.trace.replay import TraceCampaignSource, golden_from_trace
-
-        # Key the trace on what is actually captured here: the workload
-        # compiled with licm(threshold) at this scale/quantum.
-        trace_spec = RunSpec(
+    # Key the trace on what is actually captured here: the workload
+    # compiled with licm(threshold) at this scale/quantum.
+    tfp = trace_fingerprint(
+        RunSpec(
             workload=workload_name,
             scale=scale,
             config=OptConfig.licm(config.threshold),
             quantum=config.quantum,
             max_steps=config.max_steps,
         )
-        tfp = trace_fingerprint(trace_spec)
-        trace = load_trace(store, tfp)
-        if trace is None:
-            trace = capture_trace(
-                compiled,
-                spawns,
-                quantum=config.quantum,
-                max_steps=config.max_steps,
-                meta={
-                    "workload": workload_name,
-                    "scale": float(scale),
-                    "quantum": config.quantum,
-                    "fingerprint": tfp,
-                },
-            )
-            trace.meta["deps"] = sorted(base_deps | {"trace"})
-            store_trace(store, tfp, trace)
-        golden = golden_from_trace(trace)
-        source = TraceCampaignSource(trace, config)
-    else:
-        fingerprint = spec.fingerprint()
-        if store is not None:
-            payload = store.get(fingerprint, kind="golden")
-            if payload is not None and "total_events" in payload:
-                golden = _golden_from_cache(payload)
-        if golden is None:
-            golden = golden_run(
-                compiled, spawns, quantum=config.quantum, max_steps=config.max_steps
-            )
-            if store is not None:
-                store.put(
-                    fingerprint,
-                    _golden_to_cache(
-                        golden, deps=deps_token(base_deps | {"fault"})
-                    ),
-                    kind="golden",
-                )
+    )
+    store = resolve_cache(cache)
+    trace = load_trace(store, tfp)
+    if trace is None:
+        trace = capture_trace(
+            compiled,
+            spawns,
+            quantum=config.quantum,
+            max_steps=config.max_steps,
+            meta={
+                "workload": workload_name,
+                "scale": float(scale),
+                "quantum": config.quantum,
+                "fingerprint": tfp,
+            },
+        )
+        trace.meta["deps"] = sorted(base_deps | {"trace"})
+        store_trace(store, tfp, trace)
     return run_campaign(
-        compiled, spawns, config, name=workload_name, golden=golden, source=source
+        compiled,
+        spawns,
+        config,
+        name=workload_name,
+        golden=golden_from_trace(trace),
+        source=TraceCampaignSource(trace, config),
     )

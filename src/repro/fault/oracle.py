@@ -30,12 +30,6 @@ from repro.isa.trace import TickCountingObserver
 
 IoEvent = Tuple[int, int, int]  # (core, port, value)
 
-#: Counts observer events exactly as the crash injector does — one tick
-#: per delegated callback — so a golden run yields the campaign's
-#: crash-point universe.  The implementation lives with the other shared
-#: observers in :mod:`repro.isa.trace`; this name is kept for callers.
-EventCounter = TickCountingObserver
-
 
 def data_image(machine: Machine) -> Dict[int, int]:
     """Final data-segment memory, log area (checkpoint storage) masked."""
@@ -74,7 +68,9 @@ def golden_run(
     machine = Machine(module, quantum=quantum)
     for func_name, args in spawns:
         machine.spawn(func_name, args)
-    counter = EventCounter()
+    # One tick per delegated callback, exactly as the crash injector
+    # counts: the golden run's event count is the crash-point universe.
+    counter = TickCountingObserver()
     machine.run(counter, max_steps=max_steps)
     return GoldenResult(
         data=data_image(machine),

@@ -174,7 +174,7 @@ class TickCountingObserver(Observer):
     This is the crash-point universe: :class:`repro.arch.crash.CrashInjector`
     ticks once per delegated callback, so a crash-free run under this
     observer yields exactly the set of valid ``CrashPlan.at_event``
-    indices.  (Re-exported as ``repro.fault.oracle.EventCounter``.)
+    indices (:func:`repro.fault.oracle.golden_run` counts with it).
     """
 
     def __init__(self) -> None:

@@ -328,39 +328,6 @@ def _judge_point(
 # --------------------------------------------------------------------- matrix
 
 
-def _direct_capture(program: LitmusProgram, k: int, config, mutations):
-    """Interpreted (non-replay) crash capture with the same planted
-    mutations — the witness-confirmation path.  Returns
-    ``(state, order_kinds)``: the captured persistent domain and any
-    reference-automaton violation kinds flagged on the way there."""
-    from repro.arch.crash import CrashPlan, run_built_until_crash
-    from repro.arch.system import build_system
-    from repro.check.checker import PersistencyChecker
-
-    machine, system = build_system(
-        program.module,
-        program.spawns,
-        params=config.params,
-        threshold=config.threshold,
-        quantum=config.quantum,
-        mutations=mutations,
-    )
-    checker = PersistencyChecker.attach(system) if config.check else None
-    state = run_built_until_crash(
-        machine,
-        system,
-        CrashPlan(k),
-        max_steps=config.max_steps,
-        extra_observer=checker,
-    )
-    if checker is not None and state is not None:
-        checker.check_crash_state(state)
-    kinds = (
-        [v.kind for v in checker.report.violations] if checker is not None else []
-    )
-    return state, kinds
-
-
 def run_litmus_program(
     program: LitmusProgram,
     mutations=None,
@@ -398,7 +365,11 @@ def run_litmus_program(
     with UsageProbe() as probe:
         from repro.fault.campaign import CampaignConfig
         from repro.trace.record import capture_trace
-        from repro.trace.replay import TraceCampaignSource, golden_from_trace
+        from repro.trace.replay import (
+            InterpretedSource,
+            TraceCampaignSource,
+            golden_from_trace,
+        )
 
         trace = capture_trace(
             program.module,
@@ -417,7 +388,6 @@ def run_litmus_program(
             params=params,
             check=check,
             max_steps=max_steps,
-            replay=True,
         )
         # Mutations plant in the replayed *system* (pipeline bugs) and in
         # recovery below (recovery bugs) — each layer reads its own flags.
@@ -460,15 +430,21 @@ def run_litmus_program(
                     # Confirm the minimized witness off the replay path:
                     # a direct (interpreted, same-mutations) run of the
                     # same crash point must agree.
-                    direct_state, direct_kinds = _direct_capture(
-                        program, k, config, mutations
-                    )
+                    direct_state, _machine, direct_checker = InterpretedSource(
+                        program.module, program.spawns, config, mutations
+                    ).capture_at(k)
                     if direct_state is not None:
                         direct_failures, _ = _judge_point(
                             program, k, snapshots[k], direct_state, mw_addrs,
                             finals, golden_data, mutations, max_steps,
                         )
-                        witness.confirmed = bool(direct_failures or direct_kinds)
+                        witness.confirmed = bool(
+                            direct_failures
+                            or (
+                                direct_checker is not None
+                                and direct_checker.report.violations
+                            )
+                        )
                 if stop_on_forbidden:
                     break
 

@@ -12,7 +12,7 @@ This package exploits both facts:
   (workload, scale, config, threshold, params, quantum), validated per
   entry against the recorded subsystem dependencies (:mod:`repro.deps`),
   so warm re-runs of ``EvalHarness.sweep``, the ablations, and
-  fault-campaign golden runs are near-instant and survive unrelated
+  fault-campaign trace captures are near-instant and survive unrelated
   source edits,
 * ``python -m repro sweep`` — the command-line front end (``--since
   <rev>`` reports exactly which figures a code change moved, and why).

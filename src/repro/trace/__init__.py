@@ -5,8 +5,8 @@ Capture one golden interpreted run into a structure-of-arrays
 result cache through a versioned, checksummed codec
 (:mod:`repro.trace.codec`), and drive the arch/persistence/checker
 layers straight from the columns (:mod:`repro.trace.replay`) — the fast
-path behind ``RunSpec(trace=True)``, ``CampaignConfig(replay=True)``,
-and the ``repro trace`` CLI (:mod:`repro.trace.cli`).
+path behind ``RunSpec(trace=True)``, every fault campaign's crash
+capture, and the ``repro trace`` CLI (:mod:`repro.trace.cli`).
 """
 
 from repro.trace.codec import (
@@ -27,6 +27,7 @@ from repro.trace.record import (
     trace_fingerprint,
 )
 from repro.trace.replay import (
+    InterpretedSource,
     TraceCampaignSource,
     TraceCursor,
     TraceReplayer,
@@ -53,6 +54,7 @@ __all__ = [
     "TraceReplayer",
     "TraceCursor",
     "TraceCampaignSource",
+    "InterpretedSource",
     "build_replay_system",
     "golden_from_trace",
     "replay_metrics",

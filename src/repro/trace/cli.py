@@ -9,7 +9,8 @@ Three modes::
     # SystemMetrics, field by field (exit 1 on any divergence):
     python -m repro trace replay --workload genome --scale 0.3 --check
 
-    # Campaign bench: one fault campaign interpreted and once replayed,
+    # Campaign bench: one fault campaign through the reference
+    # interpreted source and once as campaigns run it (trace replay),
     # verdicts compared point by point, speedup reported (exit 1 on any
     # verdict divergence):
     python -m repro trace bench --workload genome --scale 0.2
@@ -28,7 +29,7 @@ from typing import List, Optional
 
 from repro.api import RunSpec
 from repro.compiler import OptConfig
-from repro.jsonout import add_json_arg, resolved_json_out, write_envelope
+from repro.jsonout import add_json_arg, write_envelope
 
 
 def _spec(args) -> RunSpec:
@@ -38,6 +39,19 @@ def _spec(args) -> RunSpec:
         config=OptConfig.licm(args.threshold),
         quantum=args.quantum,
     )
+
+
+def _compiled(spec: RunSpec, parser):
+    """Build the spec's workload and compile it with its config."""
+    from repro.compiler import CapriCompiler
+    from repro.workloads import get_workload
+
+    try:
+        workload = get_workload(spec.workload)
+    except KeyError as err:
+        parser.error(str(err.args[0] if err.args else err))
+    module, spawns = workload.build(spec.scale)
+    return CapriCompiler(spec.effective_config).compile(module).module, spawns
 
 
 def _capture(args, parser, json_out) -> int:
@@ -98,17 +112,10 @@ def _capture(args, parser, json_out) -> int:
 def _replay(args, parser, json_out) -> int:
     from repro.api import capture_spec_trace
     from repro.arch.system import run_workload
-    from repro.compiler import CapriCompiler
     from repro.trace.replay import replay_metrics
-    from repro.workloads import get_workload
 
     spec = _spec(args)
-    try:
-        workload = get_workload(spec.workload)
-    except KeyError as err:
-        parser.error(str(err.args[0] if err.args else err))
-    module, spawns = workload.build(spec.scale)
-    compiled = CapriCompiler(spec.effective_config).compile(module).module
+    compiled, spawns = _compiled(spec, parser)
 
     t0 = time.perf_counter()
     interpreted, _machine = run_workload(
@@ -171,28 +178,32 @@ def _replay(args, parser, json_out) -> int:
 
 
 def _bench(args, parser, json_out) -> int:
-    from repro.fault.campaign import CampaignConfig, run_workload_campaign
+    from repro.fault.campaign import CampaignConfig, run_campaign
+    from repro.fault.oracle import golden_run
+    from repro.trace.replay import InterpretedSource
 
-    def campaign(replay: bool):
-        config = CampaignConfig(
-            threshold=args.threshold,
-            quantum=args.quantum,
-            sample=args.sample,
-            check=args.check,
-            minimize=False,
-            replay=replay,
-        )
-        start = time.perf_counter()
-        try:
-            result = run_workload_campaign(
-                args.workload, config, scale=args.scale, cache=None
-            )
-        except KeyError as err:
-            parser.error(str(err.args[0] if err.args else err))
-        return result, time.perf_counter() - start
+    compiled, spawns = _compiled(_spec(args), parser)
+    config = CampaignConfig(
+        threshold=args.threshold,
+        quantum=args.quantum,
+        sample=args.sample,
+        check=args.check,
+        minimize=False,
+    )
 
-    interpreted, t_int = campaign(replay=False)
-    replayed, t_rep = campaign(replay=True)
+    start = time.perf_counter()
+    interpreted = run_campaign(
+        compiled,
+        spawns,
+        config,
+        name=args.workload,
+        golden=golden_run(compiled, spawns, quantum=config.quantum),
+        source=InterpretedSource(compiled, spawns, config),
+    )
+    t_int = time.perf_counter() - start
+    start = time.perf_counter()
+    replayed = run_campaign(compiled, spawns, config, name=args.workload)
+    t_rep = time.perf_counter() - start
 
     def verdicts(result):
         return [(o.event_index, o.status, tuple(o.chain)) for o in result.outcomes]
@@ -281,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_json_arg(parser)
     args = parser.parse_args(argv)
-    json_out = resolved_json_out(args, prog="repro trace")
+    json_out = args.json_out
     if args.mode == "capture":
         return _capture(args, parser, json_out)
     if args.mode == "replay":

@@ -15,13 +15,19 @@ no IR re-interpretation, no functional machine.  Three consumers:
     crash point, one fresh system.
 
 :class:`TraceCursor` / :class:`TraceCampaignSource`
-    The fault-campaign workhorse.  Campaign crash points ascend
+    The fault-campaign crash-capture source (the only one campaigns
+    use).  Campaign crash points ascend
     (:func:`~repro.fault.campaign.select_crash_points` sorts), so *one*
     replay system advanced monotonically serves every point: total arch
     work across an exhaustive sweep is O(events) instead of
     O(events²/2) — this, not per-event dispatch, is where the ≥5×
     campaign speedup lives (docs/PERFORMANCE.md).  Rewinds (the failure
     minimizer bisects downward) rebuild from event 0.
+
+:class:`InterpretedSource` is the reference it is measured and checked
+against: the same ``capture_at`` contract served by re-interpreting the
+IR to every crash point (``repro trace bench``, the litmus matrix's
+witness confirmation, and the identity tests).
 
 Verdict identity with the interpreted path rests on three facts (argued
 in docs/INTERNALS.md): the functional machine is observer-independent,
@@ -324,7 +330,7 @@ class TraceCursor:
     # -- the campaign-facing contract ----------------------------------------
 
     def capture_at(self, event_index: int):
-        """Replay twin of :func:`repro.fault.campaign.capture_at`.
+        """Replay twin of :meth:`InterpretedSource.capture_at`.
 
         Returns ``(state, machine, checker)`` with the same meaning: the
         captured persistent domain (``None`` if the trace ends first), an
@@ -366,10 +372,12 @@ class TraceCursor:
 
 
 class TraceCampaignSource:
-    """What :func:`repro.fault.campaign.run_campaign` accepts as
-    ``source``: anything with the ``capture_at(event_index)`` contract.
-    This one binds a captured trace and a campaign config to a
-    :class:`TraceCursor`."""
+    """How a fault campaign reaches its crash points: a captured trace
+    and a campaign config bound to a :class:`TraceCursor`.
+
+    ``mutations`` plants protocol bugs in the replayed *system* (the
+    litmus matrix's teeth); ``config.mutations`` stays recovery-scoped.
+    """
 
     def __init__(self, trace: ExecTrace, config, mutations=None) -> None:
         self.trace = trace
@@ -387,3 +395,61 @@ class TraceCampaignSource:
 
     def capture_at(self, event_index: int):
         return self._cursor.capture_at(event_index)
+
+
+class InterpretedSource:
+    """The reference crash-capture source: re-interpret the IR to every
+    crash point on a fresh machine + system.
+
+    Same ``capture_at(event_index) -> (state, machine, checker)``
+    contract as :class:`TraceCampaignSource`, at O(events) interpreter
+    work per point.  Campaigns never use it; it is what replay is
+    measured and checked against.  ``mutations`` plants protocol bugs in
+    the system, as :class:`TraceCampaignSource` does.
+    """
+
+    def __init__(self, module, spawns, config, mutations=None) -> None:
+        self.module = module
+        self.spawns = spawns
+        self.config = config
+        self.mutations = mutations
+
+    def capture_at(self, event_index: int):
+        """Run to ``event_index`` and capture the persistent domain.
+
+        ``state`` is ``None`` when the program finished before the crash
+        point; ``checker`` is the attached
+        :class:`~repro.check.checker.PersistencyChecker` when
+        ``config.check`` is on (already fed the pre-crash event stream
+        and the crash-state comparison), else ``None``.
+        """
+        from repro.arch.crash import run_built_until_crash
+        from repro.arch.system import build_system
+        from repro.check.checker import PersistencyChecker
+
+        config = self.config
+        machine, system = build_system(
+            self.module,
+            self.spawns,
+            params=config.params,
+            threshold=config.threshold,
+            quantum=config.quantum,
+            mutations=self.mutations,
+        )
+        checker = PersistencyChecker.attach(system) if config.check else None
+        state = run_built_until_crash(
+            machine,
+            system,
+            CrashPlan(event_index),
+            max_steps=config.max_steps,
+            extra_observer=checker,
+        )
+        if checker is not None:
+            if state is None:
+                system.finish()
+                checker.finalize(system)
+            else:
+                # The capture precedes fault injection, so the
+                # crash-state check is valid for every model combination.
+                checker.check_crash_state(state)
+        return state, machine, checker

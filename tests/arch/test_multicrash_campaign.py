@@ -21,6 +21,7 @@ from repro.fault.campaign import (
     run_workload_campaign,
 )
 from repro.fault.multicrash import run_multi_crash_point
+from repro.trace.replay import InterpretedSource
 
 from tests.arch.conftest import build_update_loop, compile_capri
 
@@ -131,7 +132,8 @@ class TestDeterminism:
         golden = golden_run(module, spawns)
         cfg = _config(secondary_sample=None, max_chains_per_point=2)
         outcomes, truncated = run_multi_crash_point(
-            module, spawns, golden, 40, get_models(["clean"]), cfg
+            module, spawns, golden, 40, get_models(["clean"]), cfg,
+            source=InterpretedSource(module, spawns, cfg),
         )
         assert outcomes and truncated > 0
 
@@ -207,12 +209,11 @@ class TestCli:
             "--sample", "5",
             "--multi-crash",
             "--secondary-sample", "3",
-            "--stats-json", str(out_path),
+            "--json", str(out_path),
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "depth=2" in out
-        # --stats-json is a deprecated alias for --json: same envelope.
         payload = json.loads(out_path.read_text())
         assert payload["command"] == "fault"
         stats = payload["data"]

@@ -1,10 +1,24 @@
-"""Campaign integration: replay mode must change wall-clock, never
-verdicts — single-crash sweeps, fault models, checker verdicts, nested
-crashes, and the mutant matrix all compare outcome-for-outcome."""
+"""Campaign ≡ reference.
+
+Every campaign reaches its crash points by replaying a captured trace
+(:class:`~repro.trace.replay.TraceCampaignSource`).  Re-interpreting the
+IR to every point (:class:`~repro.trace.replay.InterpretedSource`, judged
+against :func:`~repro.fault.oracle.golden_run`) is the reference it must
+match outcome for outcome: single-crash sweeps, fault models and the
+minimizer, checker verdicts, and nested crashes.
+"""
 
 import pytest
 
-from repro.fault.campaign import CampaignConfig, run_workload_campaign
+from repro.compiler import CapriCompiler, OptConfig
+from repro.fault.campaign import (
+    CampaignConfig,
+    run_campaign,
+    run_workload_campaign,
+)
+from repro.fault.oracle import golden_run
+from repro.trace.replay import InterpretedSource
+from repro.workloads import get_workload
 
 
 def _verdicts(result):
@@ -16,24 +30,31 @@ def _verdicts(result):
     ]
 
 
+def _compiled(workload, scale, threshold):
+    module, spawns = get_workload(workload).build(scale)
+    module = CapriCompiler(OptConfig.licm(threshold)).compile(module).module
+    return module, spawns
+
+
 def _run_both(config_kwargs, workload="genome", scale=0.08):
-    interpreted = run_workload_campaign(
-        workload,
-        CampaignConfig(replay=False, **config_kwargs),
-        scale=scale,
-        cache=None,
+    config = CampaignConfig(**config_kwargs)
+    module, spawns = _compiled(workload, scale, config.threshold)
+    reference = run_campaign(
+        module,
+        spawns,
+        config,
+        name=workload,
+        golden=golden_run(
+            module, spawns, quantum=config.quantum, max_steps=config.max_steps
+        ),
+        source=InterpretedSource(module, spawns, config),
     )
-    replayed = run_workload_campaign(
-        workload,
-        CampaignConfig(replay=True, **config_kwargs),
-        scale=scale,
-        cache=None,
-    )
-    assert interpreted.total_events == replayed.total_events
-    assert _verdicts(interpreted) == _verdicts(replayed)
-    assert interpreted.counts() == replayed.counts()
-    assert interpreted.ok == replayed.ok
-    return interpreted, replayed
+    replayed = run_workload_campaign(workload, config, scale=scale, cache=None)
+    assert reference.total_events == replayed.total_events
+    assert _verdicts(reference) == _verdicts(replayed)
+    assert reference.counts() == replayed.counts()
+    assert reference.ok == replayed.ok
+    return reference, replayed
 
 
 def test_clean_sweep_verdicts_identical():
@@ -45,7 +66,7 @@ def test_checked_sweep_verdicts_identical():
 
 
 def test_fault_model_verdicts_and_minimizer_identical():
-    interpreted, replayed = _run_both(
+    reference, replayed = _run_both(
         dict(
             threshold=32,
             sample=12,
@@ -54,7 +75,7 @@ def test_fault_model_verdicts_and_minimizer_identical():
             minimize=True,
         )
     )
-    a, b = interpreted.minimized, replayed.minimized
+    a, b = reference.minimized, replayed.minimized
     assert (a is None) == (b is None)
     if a is not None:
         assert (a.event_index, a.models) == (b.event_index, b.models)
@@ -76,17 +97,11 @@ def test_multi_crash_verdicts_identical():
 def test_exhaustive_sweep_single_pass():
     """Exhaustive ascending sweeps are the point of the cursor: the
     whole campaign must complete on one replay system (zero rebuilds)."""
-    from repro.compiler import CapriCompiler, OptConfig
-    from repro.fault.campaign import run_campaign
     from repro.trace.record import capture_trace
     from repro.trace.replay import TraceCampaignSource, golden_from_trace
-    from repro.workloads import get_workload
 
     config = CampaignConfig(threshold=32, minimize=False)
-    module, spawns = get_workload("genome").build(0.05)
-    module = (
-        CapriCompiler(OptConfig.licm(config.threshold)).compile(module).module
-    )
+    module, spawns = _compiled("genome", 0.05, config.threshold)
     trace = capture_trace(
         module, spawns, quantum=config.quantum, max_steps=config.max_steps
     )
@@ -104,43 +119,91 @@ def test_exhaustive_sweep_single_pass():
     assert source.rebuilds == 0
 
 
-def test_harness_fault_campaign_inherits_replay():
+def test_interpreted_campaign_config_is_gone():
+    with pytest.raises(ValueError, match="InterpretedSource"):
+        CampaignConfig(replay=False)
+
+
+@pytest.mark.parametrize(
+    "cli, argv",
+    [
+        ("repro.fault.__main__", ["--workload", "genome", "--replay"]),
+        ("repro.check.__main__", ["--mutants", "--replay"]),
+    ],
+)
+def test_replay_flags_are_gone(cli, argv, capsys):
+    import importlib
+
+    with pytest.raises(SystemExit) as exc:
+        importlib.import_module(cli).main(argv)
+    assert exc.value.code == 2
+    assert "--replay" in capsys.readouterr().err
+
+
+def test_harness_fault_campaign_leaves_caller_config_alone(monkeypatch):
+    """``EvalHarness.fault_campaign`` folds its own settings into a copy:
+    a config reused across harnesses never carries the first harness's
+    params, quantum or checker into the second."""
+    import repro.fault.campaign as campaign
+    from repro.arch.params import SimParams
     from repro.eval.harness import EvalHarness
 
-    h_interp = EvalHarness(scale=0.05)
-    h_replay = EvalHarness(scale=0.05, trace=True)
-    config = dict(threshold=32, sample=10, minimize=False)
-    a = h_interp.fault_campaign("genome", CampaignConfig(**config))
-    b = h_replay.fault_campaign("genome", CampaignConfig(**config))
-    assert _verdicts(a) == _verdicts(b)
+    seen = []
+    original = campaign.run_workload_campaign
+
+    def spy(name, config, **kwargs):
+        seen.append(config)
+        return original(name, config, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_workload_campaign", spy)
+    first = SimParams.scaled()
+    second = SimParams.scaled().with_(nvm_write_parallelism=8)
+    config = CampaignConfig(threshold=32, sample=6, minimize=False)
+    pristine = CampaignConfig(threshold=32, sample=6, minimize=False)
+
+    a = EvalHarness(params=first, scale=0.05, quantum=16, check=True)
+    assert a.fault_campaign("genome", config).ok
+    assert config == pristine
+    b = EvalHarness(params=second, scale=0.05)
+    assert b.fault_campaign("genome", config).ok
+    assert config == pristine
+
+    settings = [(c.params, c.quantum, c.check) for c in seen]
+    assert settings == [(first, 16, True), (second, 32, False)]
+
+
+#: ``run_mutant_matrix(workloads=["genome"], scale=0.3, threshold=32,
+#: mutants=MATRIX_MUTANTS)`` rows as ``(mutant, workload, detected,
+#: sorted kinds)``, pinned from the interpreted matrix before the matrix
+#: moved onto captured traces.
+MATRIX_MUTANTS = ["skip_undo_log", "recovery_skip_redo"]
+MATRIX_ROWS = [
+    ("skip_undo_log", "genome", True, ("corrupt-undo",)),
+    ("recovery_skip_redo", "genome", True, ("lost-redo",)),
+]
 
 
 def test_mutant_matrix_identical_under_replay():
-    """One functional capture per workload must reproduce the exact
-    detection matrix: same detected set, same taxonomy classes, same
-    clean baselines."""
+    """One functional capture per workload must reproduce the detection
+    matrix the interpreted runs produced: same detected set, same
+    taxonomy classes, clean baselines.
+
+    Re-pin only for a deliberate change to the checker, a mutant, or the
+    matrix parameters: run the call in ``MATRIX_ROWS``' comment, check
+    every planted mutant is still detected with the class
+    ``MUTANT_EXPECTATIONS`` warrants (``python -m repro check --mutants``
+    exits 0), and paste the new rows with the reason in the commit
+    message.
+    """
     from repro.check.mutants import run_mutant_matrix
 
-    mutants = ["skip_undo_log", "recovery_skip_redo"]
-    interpreted = run_mutant_matrix(
-        workloads=["genome"], scale=0.3, threshold=32, mutants=mutants
+    result = run_mutant_matrix(
+        workloads=["genome"], scale=0.3, threshold=32, mutants=MATRIX_MUTANTS
     )
-    replayed = run_mutant_matrix(
-        workloads=["genome"],
-        scale=0.3,
-        threshold=32,
-        mutants=mutants,
-        replay=True,
-    )
-    assert interpreted.ok and replayed.ok
-
-    def rows(result):
-        return [
-            (o.mutant, o.workload, o.detected, tuple(sorted(o.kinds)))
-            for o in result.outcomes
-        ]
-
-    assert rows(interpreted) == rows(replayed)
-    for name, report in interpreted.baseline_reports.items():
-        other = replayed.baseline_reports[name]
-        assert report.ok == other.ok
+    assert result.ok
+    assert result.baseline_ok
+    rows = [
+        (o.mutant, o.workload, o.detected, tuple(sorted(o.kinds)))
+        for o in result.outcomes
+    ]
+    assert rows == MATRIX_ROWS
