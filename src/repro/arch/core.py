@@ -20,7 +20,12 @@ ATOMIC_EXTRA_CYCLES = 8.0
 
 
 class CoreTimer:
-    """Cycle accumulator for one core."""
+    """Cycle accumulator for one core.
+
+    The per-instruction retire charge (one ``cpi_base`` slot) is applied
+    by :meth:`repro.arch.system.CapriSystem.on_retire` directly, since it
+    runs once per instruction.
+    """
 
     __slots__ = ("params", "cycle", "retired", "stall_cycles")
 
@@ -29,11 +34,6 @@ class CoreTimer:
         self.cycle = 0.0
         self.retired = 0
         self.stall_cycles = 0.0
-
-    def retire(self) -> None:
-        """One pipeline slot for any retired instruction."""
-        self.retired += 1
-        self.cycle += self.params.cpi_base
 
     def add_latency(self, cycles: float) -> None:
         self.cycle += cycles

@@ -30,6 +30,7 @@ performs all pipeline events due by ``now`` in chronological order.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.arch.nvm import NVMain
@@ -42,37 +43,37 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _WORD_MASK = (1 << 64) - 1
 
+# Integrity checksums fold one 64-bit word per durable field with an
+# FNV-1a style step, ``h = ((h ^ word) * _FNV_PRIME) & _WORD_MASK``.  For a
+# fixed ``h`` the step is a bijection of ``word`` (xor, then multiplication
+# by an odd constant mod 2**64), and for a fixed ``word`` it is a bijection
+# of ``h``; so when every other field is fixed, the checksum is injective
+# in each field's word.  Ints fold as their low 64 bits (injective on the
+# signed machine-word range every durable field lives in, and on any
+# change confined to bits 0..63), strings as one memoised word, the valid
+# bit as 1/2.  The staged checkpoints fold as their count plus the sum mod
+# 2**64 of one word per (slot, value) pair: the sum is order-free, so a
+# flipped slot that re-sorts the map still changes exactly one term.  No
+# builtin ``hash`` is involved (it is salted per process), so checksums
+# are reproducible across runs — fault-injection campaigns promise
+# determinism under a fixed seed.
 
-def _fnv_mix(h: int, value) -> int:
-    """Fold one value (int, str, None, or tuple) into an FNV-1a hash.
 
-    Deliberately avoids Python's builtin ``hash`` (salted per process) so
-    checksums are reproducible across runs — fault-injection campaigns
-    promise determinism under a fixed seed.
-    """
-    if value is None:
-        data = b"\x00"
-    elif isinstance(value, bool):
-        data = b"\x01" if value else b"\x02"
-    elif isinstance(value, int):
-        data = value.to_bytes(16, "little", signed=True)
-    elif isinstance(value, str):
-        data = value.encode()
-    elif isinstance(value, tuple):
-        for v in value:
-            h = _fnv_mix(h, v)
-        return h
-    else:  # pragma: no cover - defensive
-        data = repr(value).encode()
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _WORD_MASK
+@lru_cache(maxsize=4096)
+def _str_word(text: str) -> int:
+    """A string folded to one word, one code point per step (injective
+    in any single code point of a fixed-length string)."""
+    h = _FNV_OFFSET
+    for ch in text:
+        h = ((h ^ ord(ch)) * _FNV_PRIME) & _WORD_MASK
     return h
 
 
 def word_checksum(addr: int, value: int) -> int:
     """Integrity word for one NVM cell (the per-word ECC/CRC a real part
     stores alongside the data array)."""
-    return _fnv_mix(_fnv_mix(_FNV_OFFSET, addr), value)
+    h = ((_FNV_OFFSET ^ (addr & _WORD_MASK)) * _FNV_PRIME) & _WORD_MASK
+    return ((h ^ (value & _WORD_MASK)) * _FNV_PRIME) & _WORD_MASK
 
 
 def _continuation_key(continuation) -> tuple:
@@ -99,17 +100,30 @@ def entry_checksum(entry: "ProxyEntry") -> int:
     through :meth:`ProxyEntry.refresh_checksum`; a fault that flips bits
     behind the checksum's back is therefore detectable at recovery.
     """
-    h = _FNV_OFFSET
-    h = _fnv_mix(h, entry.kind)
-    h = _fnv_mix(h, entry.addr)
-    h = _fnv_mix(h, entry.undo)
-    h = _fnv_mix(h, entry.redo)
-    h = _fnv_mix(h, entry.redo_valid)
-    h = _fnv_mix(h, entry.region_seq)
-    h = _fnv_mix(h, entry.region_id)
-    h = _fnv_mix(h, _continuation_key(entry.continuation))
-    for slot_addr in sorted(entry.ckpts):
-        h = _fnv_mix(h, (slot_addr, entry.ckpts[slot_addr]))
+    p = _FNV_PRIME
+    m = _WORD_MASK
+    h = ((_FNV_OFFSET ^ (entry.kind & m)) * p) & m
+    h = ((h ^ (entry.addr & m)) * p) & m
+    h = ((h ^ (entry.undo & m)) * p) & m
+    h = ((h ^ (entry.redo & m)) * p) & m
+    h = ((h ^ (1 if entry.redo_valid else 2)) * p) & m
+    h = ((h ^ (entry.region_seq & m)) * p) & m
+    h = ((h ^ (entry.region_id & m)) * p) & m
+    cont = entry.continuation
+    if cont is None:
+        h = (h * p) & m  # the key (None,) folds as word 0
+    else:
+        for part in _continuation_key(cont):
+            word = _str_word(part) if type(part) is str else part & m
+            h = ((h ^ word) * p) & m
+    ckpts = entry.ckpts
+    h = ((h ^ len(ckpts)) * p) & m
+    if ckpts:
+        total = 0
+        for slot_addr, value in ckpts.items():
+            pair = ((_FNV_OFFSET ^ (slot_addr & m)) * p) & m
+            total += ((pair ^ (value & m)) * p) & m
+        h = ((h ^ (total & m)) * p) & m
     return h
 
 

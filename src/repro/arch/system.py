@@ -122,7 +122,13 @@ class CapriSystem(Observer):
     # -- machine observer callbacks ------------------------------------------------
 
     def on_retire(self, core: int, kind: str) -> None:
-        self._core(core).retire()
+        """One pipeline slot (``cpi_base``) for any retired instruction."""
+        try:
+            timer = self.cores[core]
+        except IndexError:
+            timer = self._core(core)
+        timer.retired += 1
+        timer.cycle += self.params.cpi_base
 
     def on_load(self, core: int, addr: int) -> None:
         self._loads += 1

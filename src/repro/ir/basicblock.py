@@ -13,13 +13,20 @@ class BasicBlock:
     The final instruction must be a terminator (``Jump``/``Branch``/``Ret``/
     ``Halt``); the verifier enforces this.  Blocks are mutable — Capri's
     passes split, merge, clone and rewrite them in place.
+
+    ``decoded`` is the interpreter's cache of the block in executable form
+    (owned by :mod:`repro.isa.machine`).  It lives and dies with the block
+    and is rebuilt whenever ``instrs`` no longer holds the instructions it
+    was decoded from — so once a block has run, edit it by inserting,
+    deleting or replacing instructions, not by mutating one in place.
     """
 
-    __slots__ = ("label", "instrs")
+    __slots__ = ("label", "instrs", "decoded")
 
     def __init__(self, label: str, instrs: Optional[List[Instr]] = None) -> None:
         self.label = label
         self.instrs: List[Instr] = instrs if instrs is not None else []
+        self.decoded: Optional[tuple] = None
 
     @property
     def terminator(self) -> Instr:

@@ -30,73 +30,86 @@ from repro.ir.values import Imm, Operand, Reg, wrap_word
 # ---------------------------------------------------------------------------
 # Operator tables
 # ---------------------------------------------------------------------------
+#
+# Every operator returns a signed 64-bit machine word, i.e. the value
+# ``wrap_word`` would give for its mathematical result, in one Python call:
+# the interpreter binds these functions directly, so the wrap is spelled
+# inline as ``((v + _HALF) & _MASK) - _HALF`` (equal to ``wrap_word(v)``
+# for every int ``v``).  Comparisons yield 0/1 and need no wrap.
+
+_HALF = 1 << 63
+_MASK = (1 << 64) - 1
 
 
-def _sdiv(a: int, b: int) -> int:
+def _trunc_div(a: int, b: int) -> int:
     if b == 0:
         return 0  # ARM-style: integer divide by zero yields 0
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
 
 
+def _sdiv(a: int, b: int) -> int:
+    return wrap_word(_trunc_div(a, b))
+
+
 def _srem(a: int, b: int) -> int:
     if b == 0:
         return 0
-    return a - _sdiv(a, b) * b
+    return wrap_word(a - _trunc_div(a, b) * b)
 
 
 BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": lambda a, b: ((a + b + _HALF) & _MASK) - _HALF,
+    "sub": lambda a, b: ((a - b + _HALF) & _MASK) - _HALF,
+    "mul": lambda a, b: ((a * b + _HALF) & _MASK) - _HALF,
     "div": _sdiv,
     "rem": _srem,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << (b & 63),
-    "shr": lambda a, b: a >> (b & 63),
-    "slt": lambda a, b: int(a < b),
-    "sle": lambda a, b: int(a <= b),
-    "sgt": lambda a, b: int(a > b),
-    "sge": lambda a, b: int(a >= b),
-    "seq": lambda a, b: int(a == b),
-    "sne": lambda a, b: int(a != b),
-    "min": min,
-    "max": max,
+    "and": lambda a, b: (((a & b) + _HALF) & _MASK) - _HALF,
+    "or": lambda a, b: (((a | b) + _HALF) & _MASK) - _HALF,
+    "xor": lambda a, b: (((a ^ b) + _HALF) & _MASK) - _HALF,
+    "shl": lambda a, b: (((a << (b & 63)) + _HALF) & _MASK) - _HALF,
+    "shr": lambda a, b: (((a >> (b & 63)) + _HALF) & _MASK) - _HALF,
+    "slt": lambda a, b: 1 if a < b else 0,
+    "sle": lambda a, b: 1 if a <= b else 0,
+    "sgt": lambda a, b: 1 if a > b else 0,
+    "sge": lambda a, b: 1 if a >= b else 0,
+    "seq": lambda a, b: 1 if a == b else 0,
+    "sne": lambda a, b: 1 if a != b else 0,
+    "min": lambda a, b: ((min(a, b) + _HALF) & _MASK) - _HALF,
+    "max": lambda a, b: ((max(a, b) + _HALF) & _MASK) - _HALF,
 }
 
 UNARY_OPS: Dict[str, Callable[[int], int]] = {
-    "neg": lambda a: -a,
-    "not": lambda a: ~a,
-    "abs": abs,
+    "neg": lambda a: ((-a + _HALF) & _MASK) - _HALF,
+    "not": lambda a: ((~a + _HALF) & _MASK) - _HALF,
+    "abs": lambda a: ((abs(a) + _HALF) & _MASK) - _HALF,
 }
 
 # Atomic read-modify-write operators.  ``swap`` ignores the old value.
 ATOMIC_OPS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda old, v: old + v,
-    "and": lambda old, v: old & v,
-    "or": lambda old, v: old | v,
-    "xor": lambda old, v: old ^ v,
-    "swap": lambda old, v: v,
-    "max": max,
-    "min": min,
+    "add": BINARY_OPS["add"],
+    "and": BINARY_OPS["and"],
+    "or": BINARY_OPS["or"],
+    "xor": BINARY_OPS["xor"],
+    "swap": lambda old, v: ((v + _HALF) & _MASK) - _HALF,
+    "max": BINARY_OPS["max"],
+    "min": BINARY_OPS["min"],
 }
 
 
 def eval_binop(op: str, a: int, b: int) -> int:
     """Evaluate a binary ALU operator on machine words."""
-    return wrap_word(BINARY_OPS[op](a, b))
+    return BINARY_OPS[op](a, b)
 
 
 def eval_unop(op: str, a: int) -> int:
     """Evaluate a unary ALU operator on a machine word."""
-    return wrap_word(UNARY_OPS[op](a))
+    return UNARY_OPS[op](a)
 
 
 def eval_atomic(op: str, old: int, value: int) -> int:
     """Evaluate an atomic RMW operator, returning the new memory value."""
-    return wrap_word(ATOMIC_OPS[op](old, value))
+    return ATOMIC_OPS[op](old, value)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,14 @@ suspends the caller frame and starts the callee with arguments in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.function import Function
+from repro.ir.basicblock import BasicBlock
 from repro.ir.instructions import (
+    ATOMIC_OPS,
+    BINARY_OPS,
+    UNARY_OPS,
     AtomicRMW,
     BinOp,
     Branch,
@@ -40,6 +44,7 @@ from repro.ir.instructions import (
     CheckpointStore,
     Fence,
     Halt,
+    Instr,
     IOWrite,
     Jump,
     Load,
@@ -49,12 +54,9 @@ from repro.ir.instructions import (
     Ret,
     Store,
     UnOp,
-    eval_atomic,
-    eval_binop,
-    eval_unop,
 )
 from repro.ir.module import MAX_CALL_DEPTH, Module, ckpt_slot_addr
-from repro.ir.values import Imm, Reg, wrap_word
+from repro.ir.values import Operand, Reg, wrap_word
 from repro.isa.trace import Observer
 
 
@@ -125,6 +127,7 @@ class Hart:
         "spawn_args",
         "spawn_func",
         "retired",
+        "result",
     )
 
     def __init__(self, core_id: int, func: Function, args: Sequence[int]) -> None:
@@ -141,6 +144,8 @@ class Hart:
         self.spawn_func = func.name
         self.spawn_args = tuple(wrap_word(a) for a in args)
         self.retired = 0
+        #: value of the top-level ``Ret`` that halted this hart (0 if none)
+        self.result = 0
 
     @property
     def depth(self) -> int:
@@ -157,6 +162,126 @@ class Hart:
 
 
 _NULL_OBSERVER = Observer()
+
+
+# -- pre-decoded blocks ---------------------------------------------------------
+#
+# The interpreter never looks at an ``Instr`` while it runs.  Each basic
+# block is decoded once into a tuple of *ops*, ``(opcode, retire_name,
+# *operands)``: register operands become register indices, immediates
+# become ints, operators become their one-call word functions, and an
+# operation whose inputs are all immediates is folded to a constant move.
+# Operand pairs ``(is_reg, x)`` remain only on the less frequent memory,
+# I/O and atomic ops.  Opcodes are numbered in the loop's test order,
+# most frequent first.
+
+(
+    _BIN_RI,
+    _BIN_RR,
+    _LOAD,
+    _STORE,
+    _BRANCH,
+    _JUMP,
+    _CKPT,
+    _BOUNDARY,
+    _UNOP,
+    _MOVE_I,
+    _MOVE_R,
+    _BIN_IR,
+    _CALL,
+    _RET,
+    _ATOMIC,
+    _FENCE,
+    _IO,
+    _HALT,
+    _NOP,
+    _UNKNOWN,
+) = range(20)
+
+
+def _operand(op: Operand) -> Tuple[bool, int]:
+    return (True, op.index) if type(op) is Reg else (False, op.value)
+
+
+def _decode(instr: Instr) -> tuple:
+    """One instruction as an op tuple (see the section comment)."""
+    cls = type(instr)
+    name = cls.__name__
+    if cls is BinOp:
+        fn = BINARY_OPS[instr.op]
+        lhs_reg, a = _operand(instr.lhs)
+        rhs_reg, b = _operand(instr.rhs)
+        dst = instr.dst.index
+        if lhs_reg and rhs_reg:
+            return (_BIN_RR, name, fn, dst, a, b)
+        if lhs_reg:
+            return (_BIN_RI, name, fn, dst, a, b)
+        if rhs_reg:
+            return (_BIN_IR, name, fn, dst, a, b)
+        return (_MOVE_I, name, dst, fn(a, b))
+    if cls is Move:
+        is_reg, src = _operand(instr.src)
+        return (_MOVE_R if is_reg else _MOVE_I, name, instr.dst.index, src)
+    if cls is Load:
+        return (_LOAD, name, instr.dst.index, *_operand(instr.addr), instr.offset)
+    if cls is Store:
+        return (
+            _STORE, name, *_operand(instr.value), *_operand(instr.addr), instr.offset
+        )
+    if cls is Branch:
+        is_reg, cond = _operand(instr.cond)
+        if is_reg:
+            return (_BRANCH, name, cond, instr.if_true, instr.if_false)
+        return (_JUMP, name, instr.if_true if cond != 0 else instr.if_false)
+    if cls is Jump:
+        return (_JUMP, name, instr.target)
+    if cls is UnOp:
+        fn = UNARY_OPS[instr.op]
+        is_reg, src = _operand(instr.src)
+        if is_reg:
+            return (_UNOP, name, fn, instr.dst.index, src)
+        return (_MOVE_I, name, instr.dst.index, fn(src))
+    if cls is RegionBoundary:
+        return (_BOUNDARY, name, instr.region_id)
+    if cls is CheckpointStore:
+        # The slot's offset within the frame (ckpt_slot_addr range-checks
+        # the register here, once, instead of on every execution).
+        reg = instr.src.index
+        return (_CKPT, name, reg, ckpt_slot_addr(0, reg) - ckpt_slot_addr(0, 0))
+    if cls is Call:
+        return (_CALL, name, instr)
+    if cls is Ret:
+        return (_RET, name, instr)
+    if cls is AtomicRMW:
+        return (
+            _ATOMIC, name, ATOMIC_OPS[instr.op], instr.dst.index,
+            *_operand(instr.addr), instr.offset, *_operand(instr.value),
+        )
+    if cls is Fence:
+        return (_FENCE, name)
+    if cls is IOWrite:
+        return (_IO, name, instr.port, *_operand(instr.value))
+    if cls is Halt:
+        return (_HALT, name)
+    if cls is Nop:
+        return (_NOP, name)
+    return (_UNKNOWN, name, instr)
+
+
+def _ops(block: BasicBlock) -> tuple:
+    """``block``'s decoded ops, decoding it on first use or after an edit.
+
+    The cache keeps a copy of the instruction list it was decoded from;
+    an insertion, deletion or replacement in ``block.instrs`` makes the
+    two lists compare unequal and forces a fresh decode.
+    """
+    cached = block.decoded
+    if cached is None or cached[0] != block.instrs:
+        cached = block.decoded = (
+            list(block.instrs),
+            tuple(_decode(instr) for instr in block.instrs),
+        )
+    return cached[1]
 
 
 class Machine:
@@ -284,114 +409,144 @@ class Machine:
         obs.on_boundary(core, -1, hart.continuation())
 
     def _run_quantum(self, hart: Hart, obs: Observer, budget: int) -> int:
-        """Execute up to ``budget`` instructions on ``hart``."""
+        """Execute up to ``budget`` instructions on ``hart``.
+
+        The position lives in locals and is written back to ``hart`` before
+        every callback that reads it (boundaries, calls, returns) and on
+        every exit.  If a callback raises, the hart is left where the
+        raising instruction left it, and the quantum's instructions are
+        not added to the retired counts.
+        """
         if budget <= 0:
             return 0
         if not hart.started:
             self._start_hart(hart, obs)
-        executed = 0
+        if hart.halted:
+            return 0
         memory = self.memory
-        module = self.module
         core = hart.core_id
-        while executed < budget and not hart.halted:
-            block = hart.func.blocks[hart.label]
-            instr = block.instrs[hart.index]
-            regs = hart.regs
-            cls = type(instr)
-            obs.on_retire(core, cls.__name__)
-            executed += 1
-            advance = True
-
-            if cls is BinOp:
-                lhs = instr.lhs
-                rhs = instr.rhs
-                a = regs[lhs.index] if type(lhs) is Reg else lhs.value
-                b = regs[rhs.index] if type(rhs) is Reg else rhs.value
-                regs[instr.dst.index] = eval_binop(instr.op, a, b)
-            elif cls is Move:
-                src = instr.src
-                regs[instr.dst.index] = (
-                    regs[src.index] if type(src) is Reg else src.value
-                )
-            elif cls is Load:
-                base = instr.addr
-                addr = (
-                    regs[base.index] if type(base) is Reg else base.value
-                ) + instr.offset
-                regs[instr.dst.index] = memory.get(addr, 0)
-                obs.on_load(core, addr)
-            elif cls is Store:
-                base = instr.addr
-                addr = (
-                    regs[base.index] if type(base) is Reg else base.value
-                ) + instr.offset
-                v = instr.value
-                value = regs[v.index] if type(v) is Reg else v.value
-                old = memory.get(addr, 0)
-                memory[addr] = value
-                obs.on_store(core, addr, value, old)
-            elif cls is Branch:
-                c = instr.cond
-                cond = regs[c.index] if type(c) is Reg else c.value
-                hart.label = instr.if_true if cond != 0 else instr.if_false
-                hart.index = 0
-                advance = False
-            elif cls is Jump:
-                hart.label = instr.target
-                hart.index = 0
-                advance = False
-            elif cls is UnOp:
-                s = instr.src
-                a = regs[s.index] if type(s) is Reg else s.value
-                regs[instr.dst.index] = eval_unop(instr.op, a)
-            elif cls is RegionBoundary:
-                # The continuation points at the *next* instruction: the
-                # first instruction of the region this boundary opens.
-                hart.index += 1
-                obs.on_boundary(core, instr.region_id, hart.continuation())
-                advance = False
-            elif cls is CheckpointStore:
-                reg = instr.src.index
-                value = regs[reg]
-                addr = ckpt_slot_addr(core, reg, hart.depth)
-                memory[addr] = value
-                obs.on_ckpt(core, reg, value, addr)
-            elif cls is Call:
-                self._do_call(hart, instr, obs)
-                advance = False
-            elif cls is Ret:
-                self._do_ret(hart, instr, obs)
-                advance = False
-            elif cls is AtomicRMW:
-                base = instr.addr
-                addr = (
-                    regs[base.index] if type(base) is Reg else base.value
-                ) + instr.offset
-                v = instr.value
-                value = regs[v.index] if type(v) is Reg else v.value
-                old = memory.get(addr, 0)
-                new = eval_atomic(instr.op, old, value)
-                memory[addr] = new
-                regs[instr.dst.index] = old
-                obs.on_atomic(core, addr, new, old)
-            elif cls is Fence:
-                obs.on_fence(core)
-            elif cls is IOWrite:
-                v = instr.value
-                value = regs[v.index] if type(v) is Reg else v.value
-                self.io_log.append((core, instr.port, value))
-                obs.on_io(core, instr.port, value)
-            elif cls is Halt:
-                hart.halted = True
-                obs.on_halt(core)
-                advance = False
-            elif cls is Nop:
-                pass
-            else:  # pragma: no cover - defensive
-                raise MachineError(f"unknown instruction {instr!r}")
-
-            if advance:
-                hart.index += 1
+        on_retire = obs.on_retire
+        on_load = obs.on_load
+        on_store = obs.on_store
+        on_ckpt = obs.on_ckpt
+        regs = hart.regs
+        blocks = hart.func.blocks
+        label = hart.label
+        index = hart.index
+        ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
+        code = _ops(blocks[label])
+        executed = budget
+        try:
+            for n in range(budget):
+                op = code[index]
+                k = op[0]
+                on_retire(core, op[1])
+                if k == _BIN_RI:
+                    regs[op[3]] = op[2](regs[op[4]], op[5])
+                    index += 1
+                elif k == _BIN_RR:
+                    regs[op[3]] = op[2](regs[op[4]], regs[op[5]])
+                    index += 1
+                elif k == _LOAD:
+                    _, _, dst, base_reg, base, offset = op
+                    addr = (regs[base] if base_reg else base) + offset
+                    regs[dst] = memory.get(addr, 0)
+                    on_load(core, addr)
+                    index += 1
+                elif k == _STORE:
+                    _, _, value_reg, value, base_reg, base, offset = op
+                    if value_reg:
+                        value = regs[value]
+                    addr = (regs[base] if base_reg else base) + offset
+                    old = memory.get(addr, 0)
+                    memory[addr] = value
+                    on_store(core, addr, value, old)
+                    index += 1
+                elif k == _BRANCH:
+                    label = op[3] if regs[op[2]] != 0 else op[4]
+                    index = 0
+                    code = _ops(blocks[label])
+                elif k == _JUMP:
+                    label = op[2]
+                    index = 0
+                    code = _ops(blocks[label])
+                elif k == _CKPT:
+                    reg = op[2]
+                    value = regs[reg]
+                    addr = ckpt_frame + op[3]
+                    memory[addr] = value
+                    on_ckpt(core, reg, value, addr)
+                    index += 1
+                elif k == _BOUNDARY:
+                    # The continuation points at the *next* instruction:
+                    # the first instruction of the region this opens.
+                    index += 1
+                    hart.label = label
+                    hart.index = index
+                    obs.on_boundary(core, op[2], hart.continuation())
+                elif k == _UNOP:
+                    regs[op[3]] = op[2](regs[op[4]])
+                    index += 1
+                elif k == _MOVE_I:
+                    regs[op[2]] = op[3]
+                    index += 1
+                elif k == _MOVE_R:
+                    regs[op[2]] = regs[op[3]]
+                    index += 1
+                elif k == _BIN_IR:
+                    regs[op[3]] = op[2](op[4], regs[op[5]])
+                    index += 1
+                elif k == _CALL or k == _RET:
+                    # Frame switches go through the hart itself.
+                    hart.label = label
+                    hart.index = index
+                    switch = self._do_call if k == _CALL else self._do_ret
+                    switch(hart, op[2], obs)
+                    if hart.halted:  # a top-level Ret
+                        executed = n + 1
+                        break
+                    regs = hart.regs
+                    blocks = hart.func.blocks
+                    label = hart.label
+                    index = hart.index
+                    ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
+                    code = _ops(blocks[label])
+                elif k == _ATOMIC:
+                    _, _, fn, dst, base_reg, base, offset, value_reg, value = op
+                    addr = (regs[base] if base_reg else base) + offset
+                    if value_reg:
+                        value = regs[value]
+                    old = memory.get(addr, 0)
+                    new = fn(old, value)
+                    memory[addr] = new
+                    regs[dst] = old
+                    obs.on_atomic(core, addr, new, old)
+                    index += 1
+                elif k == _FENCE:
+                    obs.on_fence(core)
+                    index += 1
+                elif k == _IO:
+                    _, _, port, value_reg, value = op
+                    if value_reg:
+                        value = regs[value]
+                    self.io_log.append((core, port, value))
+                    obs.on_io(core, port, value)
+                    index += 1
+                elif k == _HALT:
+                    hart.halted = True
+                    obs.on_halt(core)
+                    executed = n + 1
+                    break
+                elif k == _NOP:
+                    index += 1
+                else:
+                    raise MachineError(f"unknown instruction {op[2]!r}")
+        except BaseException:
+            hart.label = label
+            hart.index = index
+            raise
+        hart.label = label
+        hart.index = index
         hart.retired += executed
         self.total_retired += executed
         return executed
@@ -436,6 +591,7 @@ class Machine:
             v = instr.value
             value = hart.regs[v.index] if type(v) is Reg else v.value
         if not hart.callstack:
+            hart.result = value
             hart.halted = True
             obs.on_halt(hart.core_id)
             return
@@ -456,33 +612,8 @@ class Machine:
         observer: Optional[Observer] = None,
         max_steps: int = 50_000_000,
     ) -> int:
-        """Spawn a single hart, run to completion, return its return value.
-
-        The return value of a top-level function is delivered through
-        register 0 convention-free: we capture it from the final ``Ret``.
-        """
-        capture = _ReturnCapture(observer or _NULL_OBSERVER)
+        """Spawn a single hart, run to completion, return its return value
+        (the value of the top-level ``Ret``; 0 if it halts otherwise)."""
         hart = self.spawn(func_name, args)
-        self._capture = capture
-        # Wrap: intercept the final ret by running normally and reading the
-        # hart's last known return; simplest is to wrap Ret in _do_ret.
-        old_do_ret = self._do_ret
-
-        def capturing_do_ret(h: Hart, instr: Ret, obs: Observer) -> None:
-            if not h.callstack and instr.value is not None:
-                v = instr.value
-                capture.value = h.regs[v.index] if type(v) is Reg else v.value
-            old_do_ret(h, instr, obs)
-
-        self._do_ret = capturing_do_ret  # type: ignore[method-assign]
-        try:
-            self.run(capture.observer, max_steps=max_steps)
-        finally:
-            self._do_ret = old_do_ret  # type: ignore[method-assign]
-        return capture.value
-
-
-class _ReturnCapture:
-    def __init__(self, observer: Observer) -> None:
-        self.observer = observer
-        self.value = 0
+        self.run(observer, max_steps=max_steps)
+        return hart.result

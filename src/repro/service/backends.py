@@ -9,7 +9,8 @@ persistence layers of actor runtimes):
 * :class:`DiskBackend` — one atomically-replaced JSON file per tenant.
   Torn or unreadable snapshots are quarantined (renamed ``*.corrupt``)
   and treated as a cold start, never a crash — the same contract as
-  :class:`repro.sweep.cache.ResultCache`.
+  :class:`repro.sweep.cache.ResultCache`.  A snapshot of an older schema
+  is a plain cold start: it is not corrupt, so it is not quarantined.
 * :class:`ShardedBackend` — the NVM image split across N shard files,
   written (optionally) by a pool of worker processes, with a
   generation-directory scheme: a snapshot becomes current only when the
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.arch.crash import CrashState
 from repro.service.state import (
     SnapshotError,
+    StaleSnapshot,
     payload_to_snapshot,
     snapshot_to_payload,
 )
@@ -147,7 +149,7 @@ class DiskBackend(StateBackend):
             with open(path, "r") as fh:
                 payload = json.load(fh)
             state = payload_to_snapshot(payload)
-        except FileNotFoundError:
+        except (FileNotFoundError, StaleSnapshot):
             return None
         except (ValueError, OSError, SnapshotError):
             self._quarantine(path)
@@ -321,7 +323,7 @@ class ShardedBackend(StateBackend):
                 image.update(bucket)
             payload["nvm_image"] = image
             state = payload_to_snapshot(payload)
-        except FileNotFoundError:
+        except (FileNotFoundError, StaleSnapshot):
             return None
         except (ValueError, KeyError, TypeError, OSError, SnapshotError):
             self._quarantine(current)

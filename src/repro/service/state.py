@@ -22,13 +22,21 @@ from repro.arch.nvm import WpqRecord
 from repro.arch.proxy import ProxyEntry
 from repro.isa.machine import Continuation
 
-#: Bump when the payload schema changes shape; loaders reject other
-#: versions (treated as a cold start, like any unreadable snapshot).
-SNAPSHOT_SCHEMA = 1
+#: Bump when the payload schema changes shape or meaning.  Schema 2:
+#: proxy-entry and WPQ checksums use the word-granular fold
+#: (``repro.arch.proxy``), so a schema-1 checksum no longer verifies.
+SNAPSHOT_SCHEMA = 2
 
 
 class SnapshotError(Exception):
     """A snapshot payload is structurally unusable."""
+
+
+class StaleSnapshot(SnapshotError):
+    """A snapshot written under an older schema: not corrupt, just no
+    longer readable.  Backends treat it as a clean cold start, never as
+    a quarantine (and never as a recovery over checksums that would all
+    read as torn)."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +136,11 @@ def payload_to_snapshot(payload: Dict[str, Any]) -> CrashState:
     """Rebuild a :class:`CrashState` from :func:`snapshot_to_payload` output."""
     if not isinstance(payload, dict):
         raise SnapshotError("snapshot payload is not a JSON object")
-    if payload.get("schema") != SNAPSHOT_SCHEMA:
-        raise SnapshotError(
-            f"unsupported snapshot schema {payload.get('schema')!r}"
-        )
+    schema = payload.get("schema")
+    if schema != SNAPSHOT_SCHEMA:
+        if type(schema) is int and 1 <= schema < SNAPSHOT_SCHEMA:
+            raise StaleSnapshot(f"snapshot schema {schema} is superseded")
+        raise SnapshotError(f"unsupported snapshot schema {schema!r}")
     try:
         wpq: List[WpqRecord] = [
             WpqRecord(

@@ -12,10 +12,18 @@ class TestCoreTimer:
         self.timer = CoreTimer(SimParams.paper())
 
     def test_retire_charges_cpi(self):
-        self.timer.retire()
-        self.timer.retire()
-        assert self.timer.cycle == pytest.approx(2 * 0.5)
-        assert self.timer.retired == 2
+        system = CapriSystem(SimParams.paper(), num_cores=1, threshold=32)
+        system.on_retire(0, "BinOp")
+        system.on_retire(0, "BinOp")
+        assert system.cores[0].cycle == pytest.approx(2 * 0.5)
+        assert system.cores[0].retired == 2
+
+    def test_retire_on_an_unknown_core_grows_the_core_list(self):
+        system = CapriSystem(SimParams.paper(), num_cores=1, threshold=32)
+        system.on_retire(2, "BinOp")
+        assert len(system.cores) == 3
+        assert system.cores[2].retired == 1
+        assert system.cores[0].retired == 0
 
     def test_add_latency(self):
         self.timer.add_latency(12.5)

@@ -29,7 +29,7 @@ from repro.ir.instructions import (
     is_memory_access,
     terminator_targets,
 )
-from repro.ir.values import Imm, Reg
+from repro.ir.values import Imm, Reg, wrap_word
 
 words = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
@@ -196,3 +196,70 @@ class TestOperatorSemantics:
 
     def test_atomic_add(self):
         assert eval_atomic("add", 10, 5) == 15
+
+
+def _trunc_div(a, b):
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+#: The operators' mathematical definitions; the tables must return
+#: ``wrap_word`` of these for every pair of ints, in or out of range.
+REFERENCE_BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": _trunc_div,
+    "rem": lambda a, b: 0 if b == 0 else a - _trunc_div(a, b) * b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << (b & 63),
+    "shr": lambda a, b: a >> (b & 63),
+    "slt": lambda a, b: int(a < b),
+    "sle": lambda a, b: int(a <= b),
+    "sgt": lambda a, b: int(a > b),
+    "sge": lambda a, b: int(a >= b),
+    "seq": lambda a, b: int(a == b),
+    "sne": lambda a, b: int(a != b),
+    "min": min,
+    "max": max,
+}
+REFERENCE_UNARY = {"neg": lambda a: -a, "not": lambda a: ~a, "abs": abs}
+REFERENCE_ATOMIC = {
+    "add": lambda old, v: old + v,
+    "and": lambda old, v: old & v,
+    "or": lambda old, v: old | v,
+    "xor": lambda old, v: old ^ v,
+    "swap": lambda old, v: v,
+    "max": max,
+    "min": min,
+}
+any_ints = words | st.integers(min_value=-(2**70), max_value=2**70)
+
+
+class TestOperatorTablesMatchDefinitions:
+    def test_tables_cover_the_definitions(self):
+        assert set(BINARY_OPS) == set(REFERENCE_BINARY)
+        assert set(UNARY_OPS) == set(REFERENCE_UNARY)
+        assert set(ATOMIC_OPS) == set(REFERENCE_ATOMIC)
+
+    @given(any_ints, any_ints)
+    def test_binary(self, a, b):
+        for op, ref in REFERENCE_BINARY.items():
+            got = BINARY_OPS[op](a, b)
+            assert got == wrap_word(ref(a, b)) and type(got) is int, op
+
+    @given(any_ints)
+    def test_unary(self, a):
+        for op, ref in REFERENCE_UNARY.items():
+            got = UNARY_OPS[op](a)
+            assert got == wrap_word(ref(a)) and type(got) is int, op
+
+    @given(any_ints, any_ints)
+    def test_atomic(self, a, b):
+        for op, ref in REFERENCE_ATOMIC.items():
+            got = ATOMIC_OPS[op](a, b)
+            assert got == wrap_word(ref(a, b)) and type(got) is int, op

@@ -87,6 +87,34 @@ def test_disk_unparseable_payload_quarantined(tmp_path):
     assert backend.quarantined == 1
 
 
+def _rewrite_schema(path, schema):
+    payload = json.loads(path.read_text())
+    payload["schema"] = schema
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("kind", ["disk", "sharded"])
+def test_older_schema_is_a_clean_cold_start(kind, snapshot, tmp_path):
+    """A schema-1 snapshot (checksums of the byte-wise fold) loads as a
+    cold start: no quarantine, and no recovery over entries whose
+    checksums would all read as torn."""
+    backend = make_backend(kind, state_dir=tmp_path)
+    backend.store("t0", snapshot)
+    if kind == "disk":
+        meta = tmp_path / "t0.json"
+    else:
+        gen = json.loads((tmp_path / "t0" / "CURRENT").read_text())["generation"]
+        meta = tmp_path / "t0" / gen / "meta.json"
+    _rewrite_schema(meta, 1)
+    assert backend.load("t0") is None
+    assert backend.quarantined == 0
+    assert not list(tmp_path.rglob("*.corrupt"))
+    tenant = Tenant("t0", backend, config=TenantConfig(snapshot_every=0))
+    assert tenant.boot() is False
+    assert tenant.table() == {}
+    backend.close()
+
+
 def test_sharded_layout_and_commit_point(snapshot, tmp_path):
     backend = ShardedBackend(tmp_path, shards=3)
     backend.store("t0", snapshot)
