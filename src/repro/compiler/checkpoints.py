@@ -24,13 +24,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.ir.cfg import CFG
+from repro.ir.dataflow import iter_bits
 from repro.ir.function import Function
-from repro.ir.instructions import CheckpointStore, RegionBoundary
+from repro.ir.instructions import CheckpointStore
 from repro.ir.liveness import compute_liveness
-from repro.ir.reaching import compute_reaching_defs
-
-#: A definition site pending a checkpoint: (block label, instr index, reg).
-_Site = Tuple[str, int, int]
+from repro.ir.reaching import DefSite, compute_reaching_defs
+from repro.ir.values import Reg
 
 
 def insert_checkpoints(func: Function) -> int:
@@ -47,26 +46,24 @@ def insert_checkpoints(func: Function) -> int:
     liveness = compute_liveness(func, cfg)
     rdefs = compute_reaching_defs(func, cfg)
 
-    needed: Set[_Site] = set()
+    needed = 0
     for region in regions:
         label = region.entry_block
-        live_in = liveness.live_in[label]
-        region.live_in = frozenset(live_in)
-        reach = rdefs.reach_in[label]
-        for (d_label, d_index, d_reg) in reach:
-            if d_reg in live_in:
-                needed.add((d_label, d_index, d_reg))
+        live_regs = tuple(iter_bits(liveness.live_in[label]))
+        region.live_in = frozenset(live_regs)
+        live_defs = 0
+        for reg in live_regs:
+            live_defs |= rdefs.defs_of.get(reg, 0)
+        needed |= rdefs.reach_in[label] & live_defs
 
     # Insert per block in descending index order so indices stay valid.
-    by_block: Dict[str, List[_Site]] = {}
-    for site in needed:
+    by_block: Dict[str, List[DefSite]] = {}
+    for site in rdefs.decode(needed):
         by_block.setdefault(site[0], []).append(site)
     inserted = 0
     for label, sites in by_block.items():
         block = func.blocks[label]
-        for (_, index, reg) in sorted(sites, key=lambda s: -s[1]):
-            from repro.ir.values import Reg
-
+        for (_, index, reg) in reversed(sites):
             block.instrs.insert(index + 1, CheckpointStore(Reg(reg)))
             inserted += 1
     func.meta["checkpoints_inserted"] = inserted
@@ -115,11 +112,10 @@ def boundaries_served(
     served: Set[str] = set()
     for region in func.meta.get("regions", []):
         b_label = region.entry_block
-        if reg not in liveness.live_in[b_label]:
+        if not liveness.live_in[b_label] >> reg & 1:
             continue
-        reach = rdefs.reach_in[b_label]
         if def_index is not None:
-            if (label, def_index, reg) in reach:
+            if rdefs.reaches(b_label, (label, def_index, reg)):
                 served.add(b_label)
         else:
             # Checkpoint with no preceding in-block def (e.g. moved by

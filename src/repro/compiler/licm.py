@@ -122,13 +122,9 @@ def _serves_boundary_inside_loop(
         if label in seen:
             continue
         seen.add(label)
-        if label in region_entries and reg in liveness.live_in[label]:
+        if label in region_entries and liveness.live_in[label] >> reg & 1:
             return True
-        redefined = any(
-            any(d.index == reg for d in instr.defs())
-            for instr in func.blocks[label].instrs
-        )
-        if redefined:
+        if liveness.defs[label] >> reg & 1:
             continue  # paths through this block no longer carry our value
         work.extend(s for s in cfg.succs[label] if s in loop.body)
     return False

@@ -35,10 +35,11 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir.cfg import CFG, DomTree
+from repro.ir.dataflow import to_mask
 from repro.ir.function import Function, RecoveryBlock
 from repro.ir.instructions import BinOp, CheckpointStore, Instr, Move, UnOp
 from repro.ir.liveness import compute_liveness
-from repro.ir.reaching import ReachingDefs, compute_reaching_defs
+from repro.ir.reaching import compute_reaching_defs
 from repro.compiler.clone import clone_instr
 from repro.compiler.checkpoints import boundaries_served, checkpoint_sites
 
@@ -58,8 +59,8 @@ class _Pruner:
         regions = func.meta["regions"]
         self.region_by_block = {r.entry_block: r for r in regions}
         #: live-in registers still covered by a checkpoint, per boundary.
-        self.covered: Dict[str, Set[int]] = {
-            r.entry_block: set(r.live_in) for r in regions
+        self.covered: Dict[str, int] = {
+            r.entry_block: to_mask(r.live_in) for r in regions
         }
         #: parameters with no redefinition: slots always valid (arg ckpts).
         self.stable_params = frozenset(
@@ -94,7 +95,7 @@ class _Pruner:
     def _is_available(self, b_label: str, reg: int) -> bool:
         if reg in self.stable_params:
             return True
-        if reg in self.covered[b_label]:
+        if self.covered[b_label] >> reg & 1:
             return True
         return self._ckpt_after_unique_def(b_label, reg) is not None
 
@@ -175,10 +176,10 @@ class _Pruner:
                 slice_sites, inputs = traced
                 # Clobber check: intermediates must not overwrite other
                 # live-in registers of the boundary.
-                live_in = self.liveness.live_in[b_label]
+                others = self.liveness.live_in[b_label] & ~(1 << reg)
                 for (s_label, s_index) in slice_sites:
                     for d in func.blocks[s_label].instrs[s_index].defs():
-                        if d.index != reg and d.index in live_in:
+                        if others >> d.index & 1:
                             ok = False
                             break
                     if not ok:
@@ -199,7 +200,7 @@ class _Pruner:
                 func.recovery_blocks.setdefault(region.region_id, []).append(
                     RecoveryBlock(reg, instrs)
                 )
-                self.covered[b_label].discard(reg)
+                self.covered[b_label] &= ~(1 << reg)
                 self.pinned |= inputs
             to_remove.append((label, index))
             self.removed.add((label, index))

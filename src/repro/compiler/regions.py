@@ -153,8 +153,7 @@ def _block_store_weights(
             _instr_store_weight(i, count_ckpt_estimates) for i in block.instrs
         )
         if count_ckpt_estimates and liveness is not None:
-            defs = {d.index for i in block.instrs for d in i.defs()}
-            weight += len(defs & liveness.live_out[label])
+            weight += (liveness.defs[label] & liveness.live_out[label]).bit_count()
         weights[label] = weight
     return weights
 

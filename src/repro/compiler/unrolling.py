@@ -59,8 +59,7 @@ def choose_unroll_factor(
     liveness = compute_liveness(func, cfg)
     ckpt_est = 0
     for label in loop.body:
-        defs = {d.index for i in func.blocks[label].instrs for d in i.defs()}
-        ckpt_est += len(defs & liveness.live_out[label])
+        ckpt_est += (liveness.defs[label] & liveness.live_out[label]).bit_count()
     per_iter = max(1, stores + ckpt_est)
     k = min(max_unroll, max(1, threshold // per_iter))
     # Code-bloat guard: keep the unrolled loop under ~512 instructions.

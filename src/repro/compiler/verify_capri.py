@@ -145,7 +145,7 @@ def _find_uncovered_boundary(
         seen.add(label)
         block = func.blocks[label]
         if block.instrs and isinstance(block.instrs[0], RegionBoundary):
-            if reg in liveness.live_in.get(label, frozenset()):
+            if liveness.live_in.get(label, 0) >> reg & 1:
                 if reg not in recovered.get(label, set()):
                     return label
         state, succs = scan_block(label, 0)
@@ -176,9 +176,7 @@ def check_checkpoint_coverage(func: Function) -> None:
         for r in regions
     }
     for reg, sites in rdefs.defs_of.items():
-        for (d_label, d_index, _) in sites:
-            if d_label not in cfg.rpo_index:
-                continue
+        for (d_label, d_index, _) in rdefs.decode(sites):
             violation = _find_uncovered_boundary(
                 func, cfg, liveness, recovered, d_label, d_index, reg
             )
@@ -225,7 +223,7 @@ def check_recovery_blocks(func: Function) -> None:
             if region is not None and region.entry_block in liveness.live_in:
                 live = liveness.live_in[region.entry_block]
                 for d in defined - {rb.target}:
-                    if d in live:
+                    if live >> d & 1:
                         raise CapriInvariantError(
                             f"{func.name}: recovery block for r{rb.target} "
                             f"clobbers live-in r{d}"

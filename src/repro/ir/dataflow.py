@@ -1,89 +1,98 @@
-"""Generic iterative dataflow solver over block-level transfer functions.
+"""Iterative dataflow over int bitsets.
 
-Both liveness (backward, union) and reaching definitions (forward, union)
-are instances of this worklist solver.  Facts are Python ``frozenset``-like
-sets; transfer functions are supplied per block.
+Every dataflow fact is a Python ``int`` used as a bitset: bit ``i`` is set
+when element ``i`` is in the set.  Liveness numbers its elements by
+register index; reaching definitions numbers each function's def sites
+once (see :mod:`repro.ir.reaching`).  Union is ``|``, removal is ``& ~``,
+membership is a shift and a test, and a fact costs one int however many
+elements it holds.
+
+Both analyses are gen/kill problems with a union meet, so one worklist
+solver per direction serves both:
+
+* backward: ``IN[b] = gen[b] | (OUT[b] & ~kill[b])``,
+  ``OUT[b] = | IN[succ]``;
+* forward: ``OUT[b] = gen[b] | (IN[b] & ~kill[b])``,
+  ``IN[b] = | OUT[pred]``.
+
+Only blocks reachable from the entry take part; the boundary fact (OUT of
+an exit block, IN of the entry) is the empty set.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, FrozenSet, Iterable, TypeVar
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.ir.cfg import CFG
 
-T = TypeVar("T")
+#: (IN, OUT) facts per reachable block label.
+Solution = Tuple[Dict[str, int], Dict[str, int]]
 
-TransferFn = Callable[[str, FrozenSet[T]], FrozenSet[T]]
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def solve_backward(
+def to_mask(bits: Iterable[int]) -> int:
+    """The bitset holding exactly ``bits``."""
+    mask = 0
+    for bit in bits:
+        mask |= 1 << bit
+    return mask
+
+
+def _solve(
     cfg: CFG,
-    transfer: TransferFn,
-    init: FrozenSet[T] = frozenset(),
-    boundary: FrozenSet[T] = frozenset(),
-) -> Dict[str, FrozenSet[T]]:
-    """Solve a backward may-analysis (union meet).
+    gen: Dict[str, int],
+    kill: Dict[str, int],
+    into: Dict[str, List[str]],
+    out_of: Dict[str, List[str]],
+    order: List[str],
+) -> Tuple[List[int], List[int]]:
+    """Worklist fixpoint in the direction ``into`` -> block -> ``out_of``.
 
-    Returns the IN set of every reachable block, where
-    ``IN[b] = transfer(b, OUT[b])`` and ``OUT[b] = U IN[succ]``.
-    Exit blocks (no successors) use ``boundary`` as their OUT set.
+    ``meet[b]`` is the union of ``result[m]`` over ``m`` in ``into[b]``;
+    ``result[b] = gen[b] | (meet[b] & ~kill[b])``.  Returns both lists,
+    indexed by reverse-postorder position.
     """
-    in_sets: Dict[str, FrozenSet[T]] = {label: init for label in cfg.rpo}
-    worklist = deque(reversed(cfg.rpo))
-    queued = set(worklist)
+    index = cfg.rpo_index
+    sources = [[index[m] for m in into[label] if m in index] for label in cfg.rpo]
+    sinks = [[index[m] for m in out_of[label] if m in index] for label in cfg.rpo]
+    gens = [gen[label] for label in cfg.rpo]
+    keeps = [~kill[label] for label in cfg.rpo]
+    meet = [0] * len(cfg.rpo)
+    result = [0] * len(cfg.rpo)
+    worklist = deque(index[label] for label in order)
+    queued = [True] * len(cfg.rpo)
     while worklist:
-        label = worklist.popleft()
-        queued.discard(label)
-        succs = cfg.succs[label]
-        if succs:
-            out: FrozenSet[T] = frozenset().union(
-                *(in_sets[s] for s in succs if s in in_sets)
-            )
-        else:
-            out = boundary
-        new_in = transfer(label, out)
-        if new_in != in_sets[label]:
-            in_sets[label] = new_in
-            for pred in cfg.preds[label]:
-                if pred in in_sets and pred not in queued:
-                    worklist.append(pred)
-                    queued.add(pred)
-    return in_sets
+        b = worklist.popleft()
+        queued[b] = False
+        fact = 0
+        for m in sources[b]:
+            fact |= result[m]
+        meet[b] = fact
+        new = gens[b] | (fact & keeps[b])
+        if new != result[b]:
+            result[b] = new
+            for s in sinks[b]:
+                if not queued[s]:
+                    queued[s] = True
+                    worklist.append(s)
+    return meet, result
 
 
-def solve_forward(
-    cfg: CFG,
-    transfer: TransferFn,
-    init: FrozenSet[T] = frozenset(),
-    boundary: FrozenSet[T] = frozenset(),
-) -> Dict[str, FrozenSet[T]]:
-    """Solve a forward may-analysis (union meet).
+def solve_backward(cfg: CFG, gen: Dict[str, int], kill: Dict[str, int]) -> Solution:
+    """Solve a backward may-analysis; returns ``(IN, OUT)`` per block."""
+    outs, ins = _solve(cfg, gen, kill, cfg.succs, cfg.preds, cfg.rpo[::-1])
+    return dict(zip(cfg.rpo, ins)), dict(zip(cfg.rpo, outs))
 
-    Returns the OUT set of every reachable block, where
-    ``OUT[b] = transfer(b, IN[b])`` and ``IN[b] = U OUT[pred]``.
-    The entry block uses ``boundary`` as its IN set.
-    """
-    out_sets: Dict[str, FrozenSet[T]] = {label: init for label in cfg.rpo}
-    worklist = deque(cfg.rpo)
-    queued = set(worklist)
-    while worklist:
-        label = worklist.popleft()
-        queued.discard(label)
-        preds = [p for p in cfg.preds[label] if p in out_sets]
-        if label == cfg.entry:
-            in_set: FrozenSet[T] = boundary
-            if preds:  # entry can also be a loop header
-                in_set = in_set.union(*(out_sets[p] for p in preds))
-        elif preds:
-            in_set = frozenset().union(*(out_sets[p] for p in preds))
-        else:
-            in_set = boundary
-        new_out = transfer(label, in_set)
-        if new_out != out_sets[label]:
-            out_sets[label] = new_out
-            for succ in cfg.succs[label]:
-                if succ in out_sets and succ not in queued:
-                    worklist.append(succ)
-                    queued.add(succ)
-    return out_sets
+
+def solve_forward(cfg: CFG, gen: Dict[str, int], kill: Dict[str, int]) -> Solution:
+    """Solve a forward may-analysis; returns ``(IN, OUT)`` per block."""
+    ins, outs = _solve(cfg, gen, kill, cfg.preds, cfg.succs, cfg.rpo)
+    return dict(zip(cfg.rpo, ins)), dict(zip(cfg.rpo, outs))

@@ -9,8 +9,14 @@ from repro.ir import (
     compute_reaching_defs,
     backward_slice,
 )
+from repro.ir.dataflow import iter_bits
 from repro.ir.slicing import slice_instructions, slice_is_reconstructible
 from repro.ir.values import Reg
+
+
+def regs(mask):
+    """Decode a register bitset."""
+    return frozenset(iter_bits(mask))
 
 
 class TestLiveness:
@@ -22,8 +28,8 @@ class TestLiveness:
             f.ret(y)
         func = b.module.function("f")
         lv = compute_liveness(func)
-        assert lv.live_in["entry"] == {0}
-        assert lv.live_out["entry"] == frozenset()
+        assert regs(lv.live_in["entry"]) == {0}
+        assert regs(lv.live_out["entry"]) == frozenset()
 
     def test_loop_carried_values_live_at_header(self):
         b = IRBuilder("m")
@@ -39,7 +45,7 @@ class TestLiveness:
         header = natural_loops(cfg)[0].header
         lv = compute_liveness(func, cfg)
         # n, acc, i all live at the loop header
-        assert {0, acc.index}.issubset(lv.live_in[header])
+        assert {0, acc.index}.issubset(regs(lv.live_in[header]))
 
     def test_dead_value_not_live(self):
         b = IRBuilder("m")
@@ -48,7 +54,7 @@ class TestLiveness:
             f.ret(f.param(0))
         func = b.module.function("f")
         lv = compute_liveness(func)
-        assert lv.live_in["entry"] == {0}
+        assert regs(lv.live_in["entry"]) == {0}
 
     def test_branch_merges_liveness(self):
         b = IRBuilder("m")
@@ -62,7 +68,7 @@ class TestLiveness:
         func = b.module.function("f")
         lv = compute_liveness(func)
         # c, x, y all live into the entry block (both branch paths merge).
-        assert {0, 1, 2}.issubset(lv.live_in["entry"])
+        assert {0, 1, 2}.issubset(regs(lv.live_in["entry"]))
 
     def test_live_before_index(self):
         b = IRBuilder("m")
@@ -73,11 +79,11 @@ class TestLiveness:
         func = b.module.function("f")
         lv = compute_liveness(func)
         # Before instr 0: a, b live.
-        assert lv.live_before_index(func, "entry", 0) == {0, 1}
+        assert regs(lv.live_before_index(func, "entry", 0)) == {0, 1}
         # Before instr 1: only x live.
-        assert lv.live_before_index(func, "entry", 1) == {2}
+        assert regs(lv.live_before_index(func, "entry", 1)) == {2}
         # Before ret: only y live.
-        assert lv.live_before_index(func, "entry", 2) == {3}
+        assert regs(lv.live_before_index(func, "entry", 2)) == {3}
 
     def test_live_before_index_bounds(self):
         b = IRBuilder("m")
@@ -143,7 +149,10 @@ class TestReachingDefs:
             f.ret()
         func = b.module.function("f")
         rd = compute_reaching_defs(func)
-        assert len(rd.defs_of[x.index]) == 2
+        assert rd.decode(rd.defs_of[x.index]) == [
+            ("entry", 0, x.index),
+            ("entry", 1, x.index),
+        ]
 
 
 class TestBackwardSlice:
