@@ -175,6 +175,10 @@ def measure_throughput(
     trace capture overhead (events/second plus slowdown vs the bare
     functional run), interpreted full-system events/second, and
     trace-replay events/second with the resulting per-run speedup.
+    The functional run is unobserved (``Machine.run()``), the
+    interpreter that resumes every recovered state in a fault campaign,
+    so ``functional_instr_per_s`` and ``capture_overhead_x`` describe
+    that path.
     Single measurement each — these feed a documentation table, not a
     statistics engine; use benchmarks/ for calibrated numbers.
     """
@@ -190,7 +194,7 @@ def measure_throughput(
     machine = Machine(compiled)
     for fn, fargs in spawns:
         machine.spawn(fn, fargs)
-    machine.run(Observer())
+    machine.run()
     t_functional = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -228,8 +232,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_json_arg(
         parser,
         help="emit machine-readable characterisation + throughput "
-        "(instr/s, events/s, replay speedup) as a schema-versioned "
-        "envelope to PATH ('-' for stdout, suppressing the table)",
+        "(instr/s of the unobserved functional run, events/s, replay "
+        "speedup) as a schema-versioned envelope to PATH ('-' for "
+        "stdout, suppressing the table)",
     )
     args = parser.parse_args(argv)
     json_out = args.json_out

@@ -24,11 +24,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.recovery import RecoveryReport
-from repro.ir.module import Module, is_ckpt_addr
+from repro.ir.module import CKPT_BASE, CKPT_CORE_STRIDE, CKPT_CORES, Module
 from repro.isa.machine import Machine
 from repro.isa.trace import TickCountingObserver
 
 IoEvent = Tuple[int, int, int]  # (core, port, value)
+
+#: End of the log area masked by :func:`data_image`: the default
+#: :func:`~repro.ir.module.is_ckpt_addr` range, tested inline.
+_CKPT_END = CKPT_BASE + CKPT_CORES * CKPT_CORE_STRIDE
 
 
 def data_image(machine: Machine) -> Dict[int, int]:
@@ -36,7 +40,7 @@ def data_image(machine: Machine) -> Dict[int, int]:
     return {
         addr: value
         for addr, value in machine.memory.items()
-        if not is_ckpt_addr(addr)
+        if not CKPT_BASE <= addr < _CKPT_END
     }
 
 
@@ -119,12 +123,16 @@ def differential_check(
 ) -> OracleVerdict:
     """Compare a recovered-and-resumed execution against the golden run."""
     final = data_image(finished)
-    addrs = set(golden.data) | set(final)
-    mismatched = sorted(
-        addr
-        for addr in addrs
-        if golden.data.get(addr, 0) != final.get(addr, 0)
-    )
+    gold = golden.data
+    mismatched: List[int] = []
+    if final != gold:
+        # An address absent on one side reads as 0, so unequal images
+        # can still match word for word.
+        mismatched = sorted(
+            addr
+            for addr in gold.keys() | final.keys()
+            if gold.get(addr, 0) != final.get(addr, 0)
+        )
 
     observed = list(pre_crash_io) + list(finished.io_log)
     fenced = set(report.quarantined_cores) if report is not None else set()

@@ -61,7 +61,11 @@ def ckpt_slot_addr(core_id: int, reg_index: int, depth: int = 0) -> int:
     )
 
 
-def is_ckpt_addr(addr: int, num_cores: int = 64) -> bool:
+#: Cores whose checkpoint storage :func:`is_ckpt_addr` covers by default.
+CKPT_CORES = 64
+
+
+def is_ckpt_addr(addr: int, num_cores: int = CKPT_CORES) -> bool:
     """True if ``addr`` falls inside the reserved checkpoint storage."""
     return CKPT_BASE <= addr < CKPT_BASE + num_cores * CKPT_CORE_STRIDE
 

@@ -24,6 +24,14 @@ suspends the caller frame and starts the callee with arguments in
   registers are deliberately **not** in the snapshot — recovery must
   rebuild them from checkpoint storage plus recovery blocks, so the Capri
   compiler's checkpoint analyses are load-bearing in our correctness tests.
+
+Unobserved runs
+---------------
+``run()`` without an observer (how a fault campaign resumes every
+recovered state) skips the event stream altogether: no callbacks, no
+continuations, and a lone hart runs without quantum slicing.  It leaves
+memory, the I/O log and the harts exactly as an observed run does
+(``tests/isa/test_unobserved_identity.py``).
 """
 
 from __future__ import annotations
@@ -159,9 +167,6 @@ class Hart:
             index=self.index,
             callstack=tuple(f.snapshot() for f in self.callstack),
         )
-
-
-_NULL_OBSERVER = Observer()
 
 
 # -- pre-decoded blocks ---------------------------------------------------------
@@ -372,18 +377,36 @@ class Machine:
     ) -> int:
         """Round-robin execute all harts until they halt; return retired count.
 
+        With ``observer=None`` the run is *unobserved*: it takes
+        :meth:`_run_unobserved`, which computes the same memory, I/O log,
+        hart states and retired counts as an observed run without making
+        a callback or building a continuation.  Quanta only decide how
+        harts interleave, so an unobserved lone hart runs its whole
+        remaining budget in one turn; two or more live harts keep the
+        round-robin quanta of an observed run.
+
         Raises :class:`MachineError` if ``max_steps`` instructions retire
-        without completion (runaway loop guard).
+        without completion (runaway loop guard).  On any other
+        :class:`MachineError` (an unknown callee, a call-stack overflow)
+        an unobserved run's retired counts include every instruction
+        before the raising one; an observed run's leave out the
+        interrupted quantum.
         """
-        obs = observer or _NULL_OBSERVER
         steps_left = max_steps
         live = [h for h in self.harts if h is not None and not h.halted]
         while live:
+            quantum = self.quantum
+            if observer is None and len(live) == 1:
+                quantum = steps_left
             progressed = False
             for hart in live:
                 if hart.halted:
                     continue
-                n = self._run_quantum(hart, obs, min(self.quantum, steps_left))
+                budget = min(quantum, steps_left)
+                if observer is None:
+                    n = self._run_unobserved(hart, budget)
+                else:
+                    n = self._run_quantum(hart, observer, budget)
                 steps_left -= n
                 progressed = progressed or n > 0
                 if steps_left <= 0:
@@ -393,8 +416,9 @@ class Machine:
                 raise MachineError("no hart can make progress")
         return self.total_retired
 
-    def _start_hart(self, hart: Hart, obs: Observer) -> None:
-        """Emit spawn-time events: argument checkpoints + an implicit boundary.
+    def _start_hart(self, hart: Hart, obs: Optional[Observer]) -> None:
+        """Write the spawn-argument checkpoints and, when observed, emit
+        their events and an implicit boundary.
 
         The implicit boundary (region id -1) gives crash recovery a
         committed resume point covering "crash before the first compiler
@@ -405,8 +429,10 @@ class Machine:
         for i, value in enumerate(hart.spawn_args):
             addr = ckpt_slot_addr(core, i, 0)
             self.memory[addr] = value
-            obs.on_ckpt(core, i, value, addr)
-        obs.on_boundary(core, -1, hart.continuation())
+            if obs is not None:
+                obs.on_ckpt(core, i, value, addr)
+        if obs is not None:
+            obs.on_boundary(core, -1, hart.continuation())
 
     def _run_quantum(self, hart: Hart, obs: Observer, budget: int) -> int:
         """Execute up to ``budget`` instructions on ``hart``.
@@ -551,7 +577,129 @@ class Machine:
         self.total_retired += executed
         return executed
 
-    def _do_call(self, hart: Hart, instr: Call, obs: Observer) -> None:
+    def _run_unobserved(self, hart: Hart, budget: int) -> int:
+        """:meth:`_run_quantum` without an observer.
+
+        The same ops with the same effects on memory (data words and
+        checkpoint slots alike), the I/O log and the hart, and the same
+        retired counts, but no callback, no store's old-value read and
+        no continuation.  If an instruction raises, the hart is left
+        where it stood and every instruction before it is added to the
+        retired counts.
+        """
+        if budget <= 0:
+            return 0
+        if not hart.started:
+            self._start_hart(hart, None)
+        if hart.halted:
+            return 0
+        memory = self.memory
+        core = hart.core_id
+        regs = hart.regs
+        blocks = hart.func.blocks
+        label = hart.label
+        index = hart.index
+        ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
+        code = _ops(blocks[label])
+        executed = budget
+        n = 0
+        try:
+            for n in range(budget):
+                op = code[index]
+                k = op[0]
+                if k == _BIN_RI:
+                    regs[op[3]] = op[2](regs[op[4]], op[5])
+                    index += 1
+                elif k == _BIN_RR:
+                    regs[op[3]] = op[2](regs[op[4]], regs[op[5]])
+                    index += 1
+                elif k == _LOAD:
+                    _, _, dst, base_reg, base, offset = op
+                    regs[dst] = memory.get(
+                        (regs[base] if base_reg else base) + offset, 0
+                    )
+                    index += 1
+                elif k == _STORE:
+                    _, _, value_reg, value, base_reg, base, offset = op
+                    memory[(regs[base] if base_reg else base) + offset] = (
+                        regs[value] if value_reg else value
+                    )
+                    index += 1
+                elif k == _BRANCH:
+                    label = op[3] if regs[op[2]] != 0 else op[4]
+                    index = 0
+                    code = _ops(blocks[label])
+                elif k == _JUMP:
+                    label = op[2]
+                    index = 0
+                    code = _ops(blocks[label])
+                elif k == _CKPT:
+                    memory[ckpt_frame + op[3]] = regs[op[2]]
+                    index += 1
+                elif k == _BOUNDARY:
+                    index += 1
+                elif k == _UNOP:
+                    regs[op[3]] = op[2](regs[op[4]])
+                    index += 1
+                elif k == _MOVE_I:
+                    regs[op[2]] = op[3]
+                    index += 1
+                elif k == _MOVE_R:
+                    regs[op[2]] = regs[op[3]]
+                    index += 1
+                elif k == _BIN_IR:
+                    regs[op[3]] = op[2](op[4], regs[op[5]])
+                    index += 1
+                elif k == _CALL or k == _RET:
+                    hart.label = label
+                    hart.index = index
+                    switch = self._do_call if k == _CALL else self._do_ret
+                    switch(hart, op[2], None)
+                    if hart.halted:  # a top-level Ret
+                        executed = n + 1
+                        break
+                    regs = hart.regs
+                    blocks = hart.func.blocks
+                    label = hart.label
+                    index = hart.index
+                    ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
+                    code = _ops(blocks[label])
+                elif k == _ATOMIC:
+                    _, _, fn, dst, base_reg, base, offset, value_reg, value = op
+                    addr = (regs[base] if base_reg else base) + offset
+                    if value_reg:
+                        value = regs[value]
+                    old = memory.get(addr, 0)
+                    memory[addr] = fn(old, value)
+                    regs[dst] = old
+                    index += 1
+                elif k == _IO:
+                    _, _, port, value_reg, value = op
+                    self.io_log.append(
+                        (core, port, regs[value] if value_reg else value)
+                    )
+                    index += 1
+                elif k == _HALT:
+                    hart.halted = True
+                    executed = n + 1
+                    break
+                elif k == _FENCE or k == _NOP:
+                    index += 1
+                else:
+                    raise MachineError(f"unknown instruction {op[2]!r}")
+        except BaseException:
+            hart.label = label
+            hart.index = index
+            hart.retired += n
+            self.total_retired += n
+            raise
+        hart.label = label
+        hart.index = index
+        hart.retired += executed
+        self.total_retired += executed
+        return executed
+
+    def _do_call(self, hart: Hart, instr: Call, obs: Optional[Observer]) -> None:
         callee = self.module.functions.get(instr.callee)
         if callee is None:
             raise MachineError(f"call to unknown function {instr.callee!r}")
@@ -568,7 +716,8 @@ class Machine:
         for i, value in enumerate(args):
             addr = ckpt_slot_addr(core, i, callee_depth)
             self.memory[addr] = value
-            obs.on_ckpt(core, i, value, addr)
+            if obs is not None:
+                obs.on_ckpt(core, i, value, addr)
         hart.callstack.append(
             Frame(
                 hart.func,
@@ -585,7 +734,7 @@ class Machine:
         hart.index = 0
         hart.regs = new_regs
 
-    def _do_ret(self, hart: Hart, instr: Ret, obs: Observer) -> None:
+    def _do_ret(self, hart: Hart, instr: Ret, obs: Optional[Observer]) -> None:
         value = 0
         if instr.value is not None:
             v = instr.value
@@ -593,7 +742,8 @@ class Machine:
         if not hart.callstack:
             hart.result = value
             hart.halted = True
-            obs.on_halt(hart.core_id)
+            if obs is not None:
+                obs.on_halt(hart.core_id)
             return
         frame = hart.callstack.pop()
         hart.func = frame.func

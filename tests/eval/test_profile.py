@@ -3,12 +3,17 @@ makes about the stand-ins, asserted quantitatively."""
 
 import pytest
 
+from repro.compiler import CapriCompiler, OptConfig
 from repro.eval.profile import (
     CharacterizationObserver,
     WorkloadProfile,
     main,
+    measure_throughput,
     profile_workload,
 )
+from repro.isa.machine import Machine
+from repro.isa.trace import Observer
+from repro.workloads import get_workload
 
 SCALE = 0.3
 
@@ -77,6 +82,24 @@ class TestShapeClaims:
     def test_ckpt_fraction_reasonable(self, profiles):
         for name, p in profiles.items():
             assert 0.0 <= p.ckpt_fraction < 0.25, name
+
+
+class TestThroughput:
+    @pytest.mark.parametrize("name", ["genome", "ocean"])
+    def test_functional_run_retires_what_an_observed_run_does(self, name):
+        """The functional column times the unobserved interpreter; it
+        must do the same work as an observed run of the same module."""
+        module, spawns = get_workload(name).build(0.05)
+        compiled = CapriCompiler(OptConfig.licm(256)).compile(module).module
+        machine = Machine(compiled)
+        for func, args in spawns:
+            machine.spawn(func, args)
+        machine.run(Observer())
+
+        row = measure_throughput(name, scale=0.05)
+        assert row["instructions"] == machine.total_retired > 0
+        assert row["functional_instr_per_s"] > 0
+        assert row["capture_overhead_x"] > 0
 
 
 class TestCLI:
