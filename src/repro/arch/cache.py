@@ -79,7 +79,7 @@ class SetAssocCache:
 
     def touch(self, addr: int) -> bool:
         """Access for a load: returns hit?; allocates on miss (LRU update)."""
-        line = self.line_addr(addr)
+        line = addr - addr % self.line_bytes
         s = self._set_of(line)
         if line in s:
             s.move_to_end(line)
@@ -91,7 +91,7 @@ class SetAssocCache:
 
     def write(self, addr: int, value: int) -> bool:
         """Access for a store: returns hit?; write-allocates on miss."""
-        line = self.line_addr(addr)
+        line = addr - addr % self.line_bytes
         s = self._set_of(line)
         if line in s:
             s.move_to_end(line)

@@ -99,7 +99,7 @@ def capture_crash_state(system: CapriSystem) -> CrashState:
         core_entries=core_entries,
         num_cores=len(system.persist.pipelines),
         pc_checkpoints=dict(system.nvm.pc_checkpoints),
-        wpq=list(system.nvm.wpq),
+        wpq=system.nvm.wpq_records(),
         ckpt_shadow=dict(system.nvm.ckpt_shadow),
     )
 

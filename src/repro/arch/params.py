@@ -14,7 +14,8 @@ All latencies are kept in *cycles* at the core clock (2 GHz: 1 cycle =
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 class PersistMode(enum.Enum):
@@ -104,44 +105,49 @@ class SimParams:
     line_bytes: int = 64
 
     # -- derived cycle quantities ----------------------------------------------
+    #
+    # Computed once per instance: the memory and proxy models read them on
+    # every access.  ``cached_property`` stores into the instance
+    # ``__dict__`` directly, which a frozen dataclass allows; ``fields()``,
+    # ``==``, ``hash`` and run fingerprints see only the declared fields.
 
     def ns_to_cycles(self, ns: float) -> float:
         return ns * self.clock_ghz
 
-    @property
+    @cached_property
     def l1_hit_cycles(self) -> float:
         return self.ns_to_cycles(self.l1_hit_ns)
 
-    @property
+    @cached_property
     def l2_hit_cycles(self) -> float:
         return self.ns_to_cycles(self.l2_hit_ns)
 
-    @property
+    @cached_property
     def dram_hit_cycles(self) -> float:
         return self.ns_to_cycles(self.dram_hit_ns)
 
-    @property
+    @cached_property
     def nvm_read_cycles(self) -> float:
         return self.ns_to_cycles(self.nvm_read_ns)
 
-    @property
+    @cached_property
     def nvm_write_cycles(self) -> float:
         return self.ns_to_cycles(self.nvm_write_ns)
 
-    @property
+    @cached_property
     def nvm_write_interval_cycles(self) -> float:
         """Sustained cycles between NVM write issues (port throughput)."""
         return self.nvm_write_cycles / self.nvm_write_parallelism
 
-    @property
+    @cached_property
     def proxy_path_cycles(self) -> float:
         return self.ns_to_cycles(self.proxy_path_ns)
 
-    @property
+    @cached_property
     def proxy_xfer_cycles(self) -> float:
         return self.ns_to_cycles(self.proxy_xfer_ns)
 
-    @property
+    @cached_property
     def io_latency_cycles(self) -> float:
         return self.ns_to_cycles(self.io_latency_ns)
 

@@ -98,9 +98,13 @@ class Continuation:
 
 
 class Frame:
-    """A suspended caller awaiting a ``Ret``."""
+    """A suspended caller awaiting a ``Ret``.
 
-    __slots__ = ("func", "label", "index", "regs", "ret_reg")
+    Its ``regs`` are not written until it is popped, so its snapshot is
+    built once, at the first boundary that needs it.
+    """
+
+    __slots__ = ("func", "label", "index", "regs", "ret_reg", "_snapshot")
 
     def __init__(
         self,
@@ -115,9 +119,15 @@ class Frame:
         self.index = index
         self.regs = regs
         self.ret_reg = ret_reg
+        self._snapshot: Optional[FrameSnapshot] = None
 
     def snapshot(self) -> FrameSnapshot:
-        return (self.func.name, self.label, self.index, tuple(self.regs), self.ret_reg)
+        snap = self._snapshot
+        if snap is None:
+            snap = self._snapshot = (
+                self.func.name, self.label, self.index, tuple(self.regs), self.ret_reg
+            )
+        return snap
 
 
 class Hart:
@@ -177,30 +187,32 @@ class Hart:
 # become ints, operators become their one-call word functions, and an
 # operation whose inputs are all immediates is folded to a constant move.
 # Operand pairs ``(is_reg, x)`` remain only on the less frequent memory,
-# I/O and atomic ops.  Opcodes are numbered in the loop's test order,
-# most frequent first.
+# I/O and atomic ops.  The loop tests opcodes most frequent first; the
+# numbering puts every op that can make an observer callback at
+# ``_LOAD`` or above, so a batching observer's pending retirements are
+# handed over on one comparison.
 
 (
     _BIN_RI,
     _BIN_RR,
-    _LOAD,
-    _STORE,
     _BRANCH,
     _JUMP,
-    _CKPT,
-    _BOUNDARY,
     _UNOP,
     _MOVE_I,
     _MOVE_R,
     _BIN_IR,
+    _NOP,
+    _UNKNOWN,
+    _LOAD,
+    _STORE,
+    _CKPT,
+    _BOUNDARY,
     _CALL,
     _RET,
     _ATOMIC,
     _FENCE,
     _IO,
     _HALT,
-    _NOP,
-    _UNKNOWN,
 ) = range(20)
 
 
@@ -442,6 +454,12 @@ class Machine:
         every exit.  If a callback raises, the hart is left where the
         raising instruction left it, and the quantum's instructions are
         not added to the retired counts.
+
+        A ``retire_batching`` observer gets no ``on_retire``: the loop
+        counts retirements and hands the pending count to
+        ``on_retire_batch`` before any other callback, at the end of the
+        quantum, and on raise (the raising instruction included, as its
+        ``on_retire`` would have been).
         """
         if budget <= 0:
             return 0
@@ -452,6 +470,10 @@ class Machine:
         memory = self.memory
         core = hart.core_id
         on_retire = obs.on_retire
+        batching = obs.retire_batching
+        if batching:
+            on_retire_batch = obs.on_retire_batch
+        charged = 0  # retirements of this quantum already handed over
         on_load = obs.on_load
         on_store = obs.on_store
         on_ckpt = obs.on_ckpt
@@ -466,7 +488,12 @@ class Machine:
             for n in range(budget):
                 op = code[index]
                 k = op[0]
-                on_retire(core, op[1])
+                if not batching:
+                    on_retire(core, op[1])
+                elif k >= _LOAD:
+                    pending = n + 1 - charged
+                    charged = n + 1
+                    on_retire_batch(core, pending)
                 if k == _BIN_RI:
                     regs[op[3]] = op[2](regs[op[4]], op[5])
                     index += 1
@@ -570,11 +597,15 @@ class Machine:
         except BaseException:
             hart.label = label
             hart.index = index
+            if batching and n + 1 > charged:
+                on_retire_batch(core, n + 1 - charged)
             raise
         hart.label = label
         hart.index = index
         hart.retired += executed
         self.total_retired += executed
+        if batching and executed > charged:
+            on_retire_batch(core, executed - charged)
         return executed
 
     def _run_unobserved(self, hart: Hart, budget: int) -> int:

@@ -39,6 +39,15 @@ injector) may rely on the following, pinned by
    and golden-run event counts share the same universe: every callback,
    including ``on_retire`` and ``on_halt``, counts as one event
    (:class:`TickCountingObserver`).
+6. **Batched retirements, by opt-in only.** An observer whose class sets
+   ``retire_batching = True`` receives ``on_retire_batch(core, n)``
+   instead of ``n`` ``on_retire`` calls.  The machine hands a hart's
+   pending count over before any other callback of that hart, at the
+   end of its quantum, and when the quantum raises, so every other
+   callback still finds all earlier retirements delivered.  Only
+   :class:`~repro.arch.system.CapriSystem` opts in; crash injectors,
+   recorders and tees see one ``on_retire`` per instruction, so rule 5
+   holds for them.
 """
 
 from __future__ import annotations
@@ -63,7 +72,12 @@ class Observer:
     ``core`` is the hart/core id.  ``kind`` in :meth:`on_retire` is the
     instruction class name (e.g. ``"BinOp"``), letting timing models assign
     per-class costs without re-dispatching on types.
+
+    A subclass that only counts retirements may set ``retire_batching``
+    and define ``on_retire_batch(core, n)`` (contract rule 6).
     """
+
+    retire_batching = False
 
     def on_retire(self, core: int, kind: str) -> None:  # noqa: D401
         """Called once per retired instruction, before specific callbacks."""

@@ -9,7 +9,7 @@ from repro.arch.system import CapriSystem
 
 class TestCoreTimer:
     def setup_method(self):
-        self.timer = CoreTimer(SimParams.paper())
+        self.timer = CoreTimer()
 
     def test_retire_charges_cpi(self):
         system = CapriSystem(SimParams.paper(), num_cores=1, threshold=32)
