@@ -152,6 +152,9 @@ class CrashOutcome:
     quarantined_entries: int = 0
     fenced_cores: Tuple[int, ...] = ()
     tainted_addrs: int = 0
+    #: instructions the differential oracle interpreted to finish the
+    #: recovered run (0 when it was never resumed, or the resume raised).
+    resumed_instructions: int = 0
 
     @property
     def failed(self) -> bool:
@@ -223,6 +226,9 @@ class CampaignResult:
             "counts": self.counts(),
             "quarantine": self.quarantine_stats(),
             "truncated_chains": self.truncated_chains,
+            "resumed_instructions": sum(
+                o.resumed_instructions for o in self.outcomes
+            ),
             "ok": self.ok,
         }
         if self.failures:
@@ -354,12 +360,14 @@ def judge_recovered(
     verdict = differential_check(
         golden, finished, pre_crash_io=pre_crash_io, report=report
     )
+    resumed = finished.total_retired
     if verdict.equivalent:
         return CrashOutcome(
             event_index,
             "ok",
             injected=len(notes),
             chain=chain,
+            resumed_instructions=resumed,
             **report_fields(report),
         )
     if not config.strict and verdict.contained_by(report):
@@ -369,6 +377,7 @@ def judge_recovered(
             detail=report.summary(),
             injected=len(notes),
             chain=chain,
+            resumed_instructions=resumed,
             **report_fields(report),
         )
     status = "silent-mismatch" if notes else "mismatch"
@@ -382,6 +391,7 @@ def judge_recovered(
         ),
         injected=len(notes),
         chain=chain,
+        resumed_instructions=resumed,
         **report_fields(report),
     )
 

@@ -14,19 +14,24 @@ class BasicBlock:
     ``Halt``); the verifier enforces this.  Blocks are mutable — Capri's
     passes split, merge, clone and rewrite them in place.
 
-    ``decoded`` is the interpreter's cache of the block in executable form
-    (owned by :mod:`repro.isa.machine`).  It lives and dies with the block
-    and is rebuilt whenever ``instrs`` no longer holds the instructions it
-    was decoded from — so once a block has run, edit it by inserting,
-    deleting or replacing instructions, not by mutating one in place.
+    ``decoded`` is the interpreter's cache of the block in executable form,
+    and ``segments`` the straight-line code compiled from that form for
+    unobserved runs (both owned by :mod:`repro.isa.machine`).  They live
+    and die with the block.  A machine checks each block against its
+    decode the first time it enters the block's function, and decodes it
+    afresh when ``instrs`` no longer holds the instructions it was decoded
+    from.  So an edit is seen by the next machine, not in the middle of a
+    run; and once a block has run, edit it by inserting, deleting or
+    replacing instructions, not by mutating one in place.
     """
 
-    __slots__ = ("label", "instrs", "decoded")
+    __slots__ = ("label", "instrs", "decoded", "segments")
 
     def __init__(self, label: str, instrs: Optional[List[Instr]] = None) -> None:
         self.label = label
         self.instrs: List[Instr] = instrs if instrs is not None else []
         self.decoded: Optional[tuple] = None
+        self.segments: Optional[dict] = None
 
     @property
     def terminator(self) -> Instr:

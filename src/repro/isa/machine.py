@@ -29,13 +29,20 @@ Unobserved runs
 ---------------
 ``run()`` without an observer (how a fault campaign resumes every
 recovered state) skips the event stream altogether: no callbacks, no
-continuations, and a lone hart runs without quantum slicing.  It leaves
-memory, the I/O log and the harts exactly as an observed run does
-(``tests/isa/test_unobserved_identity.py``).
+continuations, and a lone hart runs without quantum slicing.  Its
+straight-line code runs as *compiled segments*: each stretch of a block
+from an entry point to the block's branch or jump (or to the next call,
+return or halt) becomes one generated Python function, compiled on first
+entry and cached on the block.  The observed loop never runs compiled
+code and stays the reference.  An unobserved run leaves memory, the I/O
+log and the harts (registers and caller frames included) exactly as an
+observed run does (``tests/isa/test_unobserved_identity.py``,
+``tests/isa/test_compiled_segments.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -290,7 +297,9 @@ def _ops(block: BasicBlock) -> tuple:
 
     The cache keeps a copy of the instruction list it was decoded from;
     an insertion, deletion or replacement in ``block.instrs`` makes the
-    two lists compare unequal and forces a fresh decode.
+    two lists compare unequal and forces a fresh decode.  A machine asks
+    once per block, the first time it enters the block's function
+    (:meth:`Machine._code_table`, :meth:`Machine._segment_table`).
     """
     cached = block.decoded
     if cached is None or cached[0] != block.instrs:
@@ -299,6 +308,179 @@ def _ops(block: BasicBlock) -> tuple:
             tuple(_decode(instr) for instr in block.instrs),
         )
     return cached[1]
+
+
+# -- compiled segments ----------------------------------------------------------
+#
+# An unobserved run executes a block's straight-line stretches as compiled
+# Python functions.  A *segment* starts at an entry index (a block start,
+# a resume continuation's mid-block index, or the instruction after a
+# call) and runs to the block's branch or jump, stopping early before a
+# call, return, halt or unknown op.  Its function takes ``(regs, memory,
+# ckpt_frame, io_log, core)``: the registers it touches live in locals,
+# loaded once and written back before it returns the label to go on at.
+# The source holds only ints, register indices and ``repr()``-quoted
+# labels; every callable is passed in the function's namespace.  Why a
+# segment is exactly its ops run one by one: INTERNALS §1.2.
+
+_HALF = 1 << 63
+_MASK = (1 << 64) - 1
+
+#: ``BINARY_OPS`` entries inlined in segments: the Python expression and
+#: whether its value still needs the word wrap (``{a}`` and ``{b}`` are
+#: register locals or int literals).
+_INLINE = {
+    BINARY_OPS[name]: form
+    for name, form in {
+        "add": ("{a} + {b}", True),
+        "sub": ("{a} - {b}", True),
+        "mul": ("{a} * {b}", True),
+        "and": ("{a} & {b}", True),
+        "or": ("{a} | {b}", True),
+        "xor": ("{a} ^ {b}", True),
+        "shl": ("{a} << ({b} & 63)", True),
+        "shr": ("{a} >> ({b} & 63)", True),
+        "slt": ("1 if {a} < {b} else 0", False),
+        "sle": ("1 if {a} <= {b} else 0", False),
+        "sgt": ("1 if {a} > {b} else 0", False),
+        "sge": ("1 if {a} >= {b} else 0", False),
+        "seq": ("1 if {a} == {b} else 0", False),
+        "sne": ("1 if {a} != {b} else 0", False),
+    }.items()
+}
+#: The wrap of ``BINARY_OPS``, applied only when ``{v}`` is out of range:
+#: ``((v + _HALF) & _MASK) - _HALF`` is ``v`` itself for every word.
+_WRAP = (
+    f"if not {-_HALF} <= {{v}} < {_HALF}: "
+    f"{{v}} = (({{v}} + {_HALF}) & {_MASK}) - {_HALF}"
+)
+
+
+def _int(value: int) -> str:
+    """An int constant as segment source text."""
+    if type(value) is not int:
+        raise TypeError(f"segment constant {value!r} is not an int")
+    return f"({value})" if value < 0 else str(value)
+
+
+#: What an entry index that starts no segment (a call, return, halt or
+#: unknown op) maps to: its length fits no budget.
+_NO_SEGMENT = (math.inf, None, None)
+
+
+def _compile_segment(ops: tuple, label: str, start: int) -> tuple:
+    """The segment of block ``label`` entered at ``start``, as ``(length,
+    function, next index)``, or :data:`_NO_SEGMENT`."""
+    body: List[str] = []
+    namespace: Dict[str, object] = {}
+    loaded: List[int] = []  # registers read before the segment writes them
+    written: Dict[int, None] = {}  # registers it writes, in order
+
+    def reg(r: int) -> str:
+        if r not in written and r not in loaded:
+            loaded.append(r)
+        return f"r{r}"
+
+    def operand(is_reg: bool, x: int) -> str:
+        return reg(x) if is_reg else _int(x)
+
+    def address(base_reg: bool, base: int, offset: int) -> str:
+        if not base_reg:
+            return _int(base + offset)
+        return f"{reg(base)} + {_int(offset)}" if offset else reg(base)
+
+    def call(fn: object) -> str:
+        name = f"f{len(namespace)}"
+        namespace[name] = fn
+        return name
+
+    def assign(dst: int, expr: str) -> None:
+        body.append(f"r{dst} = {expr}")
+        written[dst] = None
+
+    index = start
+    ret = None  # the returned label, as an expression
+    while ret is None and index < len(ops):
+        op = ops[index]
+        k = op[0]
+        if k == _CALL or k == _RET or k == _HALT or k == _UNKNOWN:
+            break
+        index += 1
+        if k == _BIN_RI or k == _BIN_RR or k == _BIN_IR:
+            _, _, fn, dst, a, b = op
+            a = _int(a) if k == _BIN_IR else reg(a)
+            b = _int(b) if k == _BIN_RI else reg(b)
+            form = _INLINE.get(fn)
+            if form is None:
+                assign(dst, f"{call(fn)}({a}, {b})")
+            else:
+                expr, wraps = form
+                assign(dst, expr.format(a=a, b=b))
+                if wraps:
+                    body.append(_WRAP.format(v=f"r{dst}"))
+        elif k == _MOVE_I:
+            assign(op[2], _int(op[3]))
+        elif k == _MOVE_R:
+            assign(op[2], reg(op[3]))
+        elif k == _UNOP:
+            assign(op[3], f"{call(op[2])}({reg(op[4])})")
+        elif k == _LOAD:
+            _, _, dst, base_reg, base, offset = op
+            assign(dst, f"memory.get({address(base_reg, base, offset)}, 0)")
+        elif k == _STORE:
+            _, _, value_reg, value, base_reg, base, offset = op
+            value = operand(value_reg, value)
+            body.append(f"memory[{address(base_reg, base, offset)}] = {value}")
+        elif k == _CKPT:
+            slot = f"ckpt_frame + {_int(op[3])}" if op[3] else "ckpt_frame"
+            body.append(f"memory[{slot}] = {reg(op[2])}")
+        elif k == _ATOMIC:
+            _, _, fn, dst, base_reg, base, offset, value_reg, value = op
+            body.append(f"addr = {address(base_reg, base, offset)}")
+            body.append("old = memory.get(addr, 0)")
+            value = operand(value_reg, value)
+            body.append(f"memory[addr] = {call(fn)}(old, {value})")
+            assign(dst, "old")
+        elif k == _IO:
+            _, _, port, value_reg, value = op
+            value = operand(value_reg, value)
+            body.append(f"io_log.append((core, {_int(port)}, {value}))")
+        elif k == _BRANCH:
+            ret = f"{op[3]!r} if {reg(op[2])} != 0 else {op[4]!r}"
+        elif k == _JUMP:
+            ret = repr(op[2])
+        # A boundary, fence or nop changes nothing an unobserved run keeps.
+    if index == start:
+        return _NO_SEGMENT
+    next_index = index
+    if ret is None:
+        ret = repr(label)
+    else:
+        next_index = 0
+    source = "\n    ".join(
+        ["def segment(regs, memory, ckpt_frame, io_log, core):"]
+        + [f"r{r} = regs[{r}]" for r in loaded]
+        + body
+        + [f"regs[{r}] = r{r}" for r in written]
+        + [f"return {ret}"]
+    )
+    exec(compile(source, "<segment>", "exec"), namespace)
+    return index - start, namespace["segment"], next_index
+
+
+class _Segments(dict):
+    """One decode's compiled segments by entry index, compiled on first use."""
+
+    __slots__ = ("ops", "label")
+
+    def __init__(self, ops: tuple, label: str) -> None:
+        super().__init__()
+        self.ops = ops
+        self.label = label
+
+    def __missing__(self, index: int) -> tuple:
+        segment = self[index] = _compile_segment(self.ops, self.label, index)
+        return segment
 
 
 class Machine:
@@ -326,6 +508,10 @@ class Machine:
         #: them (the Section 3.3 open problem); tests use this log to
         #: check at-least-once delivery across failures.
         self.io_log: List[Tuple[int, int, int]] = []
+        #: Per function name: decoded ops (observed runs) or compiled
+        #: segments (unobserved runs), by label.
+        self._code: Dict[str, Dict[str, tuple]] = {}
+        self._segments: Dict[str, Dict[str, _Segments]] = {}
 
     # -- hart management -----------------------------------------------------
 
@@ -380,6 +566,33 @@ class Machine:
     def write_word(self, addr: int, value: int) -> None:
         self.memory[addr] = wrap_word(value)
 
+    # -- code tables -----------------------------------------------------------
+
+    def _code_table(self, func: Function) -> Dict[str, tuple]:
+        """``func``'s decoded blocks by label.  Each block is checked
+        against its decode once per machine, here, on first entry."""
+        table = self._code.get(func.name)
+        if table is None:
+            table = self._code[func.name] = {
+                label: _ops(block) for label, block in func.blocks.items()
+            }
+        return table
+
+    def _segment_table(self, func: Function) -> Dict[str, _Segments]:
+        """:meth:`_code_table` for unobserved runs: ``func``'s compiled
+        segments by label, each kept on its block beside the decode it was
+        compiled from."""
+        table = self._segments.get(func.name)
+        if table is None:
+            table = self._segments[func.name] = {}
+            for label, block in func.blocks.items():
+                ops = _ops(block)
+                segments = block.segments
+                if segments is None or segments.ops is not ops:
+                    segments = block.segments = _Segments(ops, label)
+                table[label] = segments
+        return table
+
     # -- execution ----------------------------------------------------------------
 
     def run(
@@ -392,17 +605,27 @@ class Machine:
         With ``observer=None`` the run is *unobserved*: it takes
         :meth:`_run_unobserved`, which computes the same memory, I/O log,
         hart states and retired counts as an observed run without making
-        a callback or building a continuation.  Quanta only decide how
-        harts interleave, so an unobserved lone hart runs its whole
-        remaining budget in one turn; two or more live harts keep the
-        round-robin quanta of an observed run.
+        a callback or building a continuation, running straight-line
+        code as compiled segments.  Quanta only decide how harts
+        interleave, so an unobserved lone hart runs its whole remaining
+        budget in one turn; two or more live harts keep the round-robin
+        quanta of an observed run.
+
+        A machine checks each block against its decode the first time it
+        enters the block's function, so an edit to a block is seen by
+        the next machine, not in the middle of a run.
 
         Raises :class:`MachineError` if ``max_steps`` instructions retire
         without completion (runaway loop guard).  On any other
         :class:`MachineError` (an unknown callee, a call-stack overflow)
         an unobserved run's retired counts include every instruction
         before the raising one; an observed run's leave out the
-        interrupted quantum.
+        interrupted quantum.  An asynchronous exception (such as
+        ``KeyboardInterrupt``) that lands inside a compiled segment
+        leaves that segment's memory writes up to that point done, but
+        its register writes undone, and the hart's position and retired
+        counts where the segment began: the machine is then only fit to
+        be thrown away.
         """
         steps_left = max_steps
         live = [h for h in self.harts if h is not None and not h.halted]
@@ -478,11 +701,11 @@ class Machine:
         on_store = obs.on_store
         on_ckpt = obs.on_ckpt
         regs = hart.regs
-        blocks = hart.func.blocks
+        code_of = self._code_table(hart.func)
         label = hart.label
         index = hart.index
         ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
-        code = _ops(blocks[label])
+        code = code_of[label]
         executed = budget
         try:
             for n in range(budget):
@@ -518,11 +741,11 @@ class Machine:
                 elif k == _BRANCH:
                     label = op[3] if regs[op[2]] != 0 else op[4]
                     index = 0
-                    code = _ops(blocks[label])
+                    code = code_of[label]
                 elif k == _JUMP:
                     label = op[2]
                     index = 0
-                    code = _ops(blocks[label])
+                    code = code_of[label]
                 elif k == _CKPT:
                     reg = op[2]
                     value = regs[reg]
@@ -559,11 +782,11 @@ class Machine:
                         executed = n + 1
                         break
                     regs = hart.regs
-                    blocks = hart.func.blocks
+                    code_of = self._code_table(hart.func)
                     label = hart.label
                     index = hart.index
                     ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
-                    code = _ops(blocks[label])
+                    code = code_of[label]
                 elif k == _ATOMIC:
                     _, _, fn, dst, base_reg, base, offset, value_reg, value = op
                     addr = (regs[base] if base_reg else base) + offset
@@ -614,9 +837,11 @@ class Machine:
         The same ops with the same effects on memory (data words and
         checkpoint slots alike), the I/O log and the hart, and the same
         retired counts, but no callback, no store's old-value read and
-        no continuation.  If an instruction raises, the hart is left
-        where it stood and every instruction before it is added to the
-        retired counts.
+        no continuation.  Straight-line code runs as compiled segments
+        chained while the next one fits the remaining budget; a budget
+        tail and each call, return and halt run op by op.  If an
+        instruction raises, the hart is left where it stood and every
+        instruction before it is added to the retired counts.
         """
         if budget <= 0:
             return 0
@@ -625,109 +850,95 @@ class Machine:
         if hart.halted:
             return 0
         memory = self.memory
+        io_log = self.io_log
         core = hart.core_id
         regs = hart.regs
-        blocks = hart.func.blocks
+        segments_of = self._segment_table(hart.func)
         label = hart.label
         index = hart.index
         ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
-        code = _ops(blocks[label])
-        executed = budget
-        n = 0
+        left = budget
         try:
-            for n in range(budget):
+            while left:
+                segments = segments_of[label]
+                length, fn, next_index = segments[index]
+                if length <= left:
+                    label = fn(regs, memory, ckpt_frame, io_log, core)
+                    index = next_index
+                    left -= length
+                    continue
+                code = segments.ops
+                if fn is not None:
+                    # A budget tail: the segment's first ``left`` ops.
+                    for index in range(index, index + left):
+                        op = code[index]
+                        k = op[0]
+                        if k == _BIN_RI:
+                            regs[op[3]] = op[2](regs[op[4]], op[5])
+                        elif k == _BIN_RR:
+                            regs[op[3]] = op[2](regs[op[4]], regs[op[5]])
+                        elif k == _LOAD:
+                            _, _, dst, base_reg, base, offset = op
+                            regs[dst] = memory.get(
+                                (regs[base] if base_reg else base) + offset, 0
+                            )
+                        elif k == _STORE:
+                            _, _, value_reg, value, base_reg, base, offset = op
+                            addr = (regs[base] if base_reg else base) + offset
+                            memory[addr] = regs[value] if value_reg else value
+                        elif k == _CKPT:
+                            memory[ckpt_frame + op[3]] = regs[op[2]]
+                        elif k == _UNOP:
+                            regs[op[3]] = op[2](regs[op[4]])
+                        elif k == _MOVE_I:
+                            regs[op[2]] = op[3]
+                        elif k == _MOVE_R:
+                            regs[op[2]] = regs[op[3]]
+                        elif k == _BIN_IR:
+                            regs[op[3]] = op[2](op[4], regs[op[5]])
+                        elif k == _ATOMIC:
+                            _, _, rmw, dst, base_reg, base, offset, value_reg, v = op
+                            addr = (regs[base] if base_reg else base) + offset
+                            old = memory.get(addr, 0)
+                            memory[addr] = rmw(old, regs[v] if value_reg else v)
+                            regs[dst] = old
+                        elif k == _IO:
+                            _, _, port, value_reg, value = op
+                            io_log.append(
+                                (core, port, regs[value] if value_reg else value)
+                            )
+                        # A boundary, fence or nop: nothing to do.  The
+                        # segment's branch or jump lies past the tail.
+                    index += 1
+                    left = 0
+                    break
                 op = code[index]
                 k = op[0]
-                if k == _BIN_RI:
-                    regs[op[3]] = op[2](regs[op[4]], op[5])
-                    index += 1
-                elif k == _BIN_RR:
-                    regs[op[3]] = op[2](regs[op[4]], regs[op[5]])
-                    index += 1
-                elif k == _LOAD:
-                    _, _, dst, base_reg, base, offset = op
-                    regs[dst] = memory.get(
-                        (regs[base] if base_reg else base) + offset, 0
-                    )
-                    index += 1
-                elif k == _STORE:
-                    _, _, value_reg, value, base_reg, base, offset = op
-                    memory[(regs[base] if base_reg else base) + offset] = (
-                        regs[value] if value_reg else value
-                    )
-                    index += 1
-                elif k == _BRANCH:
-                    label = op[3] if regs[op[2]] != 0 else op[4]
-                    index = 0
-                    code = _ops(blocks[label])
-                elif k == _JUMP:
-                    label = op[2]
-                    index = 0
-                    code = _ops(blocks[label])
-                elif k == _CKPT:
-                    memory[ckpt_frame + op[3]] = regs[op[2]]
-                    index += 1
-                elif k == _BOUNDARY:
-                    index += 1
-                elif k == _UNOP:
-                    regs[op[3]] = op[2](regs[op[4]])
-                    index += 1
-                elif k == _MOVE_I:
-                    regs[op[2]] = op[3]
-                    index += 1
-                elif k == _MOVE_R:
-                    regs[op[2]] = regs[op[3]]
-                    index += 1
-                elif k == _BIN_IR:
-                    regs[op[3]] = op[2](op[4], regs[op[5]])
-                    index += 1
-                elif k == _CALL or k == _RET:
+                if k == _CALL or k == _RET:
                     hart.label = label
                     hart.index = index
                     switch = self._do_call if k == _CALL else self._do_ret
                     switch(hart, op[2], None)
+                    left -= 1
                     if hart.halted:  # a top-level Ret
-                        executed = n + 1
                         break
                     regs = hart.regs
-                    blocks = hart.func.blocks
+                    segments_of = self._segment_table(hart.func)
                     label = hart.label
                     index = hart.index
                     ckpt_frame = ckpt_slot_addr(core, 0, len(hart.callstack))
-                    code = _ops(blocks[label])
-                elif k == _ATOMIC:
-                    _, _, fn, dst, base_reg, base, offset, value_reg, value = op
-                    addr = (regs[base] if base_reg else base) + offset
-                    if value_reg:
-                        value = regs[value]
-                    old = memory.get(addr, 0)
-                    memory[addr] = fn(old, value)
-                    regs[dst] = old
-                    index += 1
-                elif k == _IO:
-                    _, _, port, value_reg, value = op
-                    self.io_log.append(
-                        (core, port, regs[value] if value_reg else value)
-                    )
-                    index += 1
                 elif k == _HALT:
                     hart.halted = True
-                    executed = n + 1
+                    left -= 1
                     break
-                elif k == _FENCE or k == _NOP:
-                    index += 1
                 else:
                     raise MachineError(f"unknown instruction {op[2]!r}")
-        except BaseException:
+        finally:
             hart.label = label
             hart.index = index
-            hart.retired += n
-            self.total_retired += n
-            raise
-        hart.label = label
-        hart.index = index
-        hart.retired += executed
-        self.total_retired += executed
+            executed = budget - left
+            hart.retired += executed
+            self.total_retired += executed
         return executed
 
     def _do_call(self, hart: Hart, instr: Call, obs: Optional[Observer]) -> None:

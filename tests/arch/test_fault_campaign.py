@@ -137,6 +137,41 @@ class TestHarnessWiring:
         assert result.ok, result.failures[0]
 
 
+class TestResumedInstructions:
+    """``resumed_instructions`` counts what perfbench's
+    ``arch.resumed_instructions`` counts: the sum of
+    ``resume_and_finish(...).total_retired`` over the campaign."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_equals_the_resume_sum(self, depth, monkeypatch):
+        from repro.fault import campaign
+
+        resumed = []
+        original = campaign.resume_and_finish
+
+        def counting(*args, **kwargs):
+            machine = original(*args, **kwargs)
+            resumed.append(machine.total_retired)
+            return machine
+
+        monkeypatch.setattr(campaign, "resume_and_finish", counting)
+        result = campaign.run_workload_campaign(
+            "genome",
+            CampaignConfig(
+                sample=6, secondary_sample=3, depth=depth, minimize=False
+            ),
+            scale=0.05,
+            cache=None,
+        )
+        assert result.ok, result.failures[0]
+        stats = result.to_stats()
+        assert stats["resumed_instructions"] == sum(resumed) > 0
+        judged = [o for o in result.outcomes if o.resumed_instructions]
+        assert len(judged) == len(resumed)
+        if depth == 2:
+            assert any(o.chain for o in result.outcomes)
+
+
 class TestCli:
     def test_main_clean_sweep_exits_zero(self, capsys):
         from repro.fault.__main__ import main

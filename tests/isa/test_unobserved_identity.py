@@ -4,8 +4,8 @@
 lone hart run its whole budget in one turn.  Everything the differential
 oracle and the recovery protocol read must come out exactly as an
 observed run (``run(Observer())``) leaves it: memory (checkpoint slots
-included), the I/O log, and every hart's position, result, halt state
-and retired count.
+included), the I/O log, and every hart's position, result, halt state,
+retired count, registers and suspended caller frames.
 """
 
 import pytest
@@ -39,7 +39,19 @@ def machine_state(machine):
         [
             None
             if h is None
-            else (h.func.name, h.label, h.index, h.retired, h.result, h.halted)
+            else (
+                h.func.name,
+                h.label,
+                h.index,
+                h.retired,
+                h.result,
+                h.halted,
+                h.regs,
+                [
+                    (f.func.name, f.label, f.index, f.regs, f.ret_reg)
+                    for f in h.callstack
+                ],
+            )
             for h in machine.harts
         ],
     )
